@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"slices"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -157,13 +156,7 @@ func (s *Sim) completeJoinBatched(now sim.Time, h *Host, ownerID can.NodeID, own
 	// the view mutates). Pools and scratch are shard-local: a queued
 	// completion runs on its shard's worker, an inline one on the batch
 	// plane with workers parked.
-	ids := s.replyIDs[:0]
-	for id := range oh.view.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	s.replyIDs = ids
-	preRecs := oh.view.recordsOfInto(s.recScratch[:0], ids)
+	preRecs := oh.view.recordsInto(s.recScratch[:0])
 	s.recScratch = preRecs
 
 	oh.adoptZone(ownerZone)

@@ -149,7 +149,7 @@ func (h *Host) onTick(now sim.Time) {
 		table = h.view.recordsOfInto(buf, targets)
 		h.tableBuf[h.tableFlip^1] = table
 	} else {
-		table = h.view.recordsOf(targets)
+		table = h.view.recordsOfInto(make([]Record, 0, len(targets)), targets)
 	}
 
 	// ranked and targets are both ascending, so ranked membership is a
@@ -281,19 +281,7 @@ func (h *Host) receiveFull(now sim.Time, from Record, table []Record, ranked boo
 	st.at = now
 	// Redundant neighbor information repairs broken links (Figure 2):
 	// any record whose zone abuts ours is a neighbor we may be missing.
-	// Records already in the view with an unchanged zone need no
-	// geometry test — this is the steady-state fast path.
-	for _, rec := range table {
-		if rec.ID == h.id {
-			continue
-		}
-		if e := h.view.entries[rec.ID]; e != nil && e.rec.Zone.Equal(rec.Zone) {
-			continue
-		}
-		if _, _, ok := h.zone.Abuts(rec.Zone); ok {
-			h.view.indirect(rec, now, h.graceTime(now))
-		}
-	}
+	h.view.merge(h.id, h.zone, table, now, h.graceTime(now))
 }
 
 // receiveCompact handles a compact heartbeat: sender record plus
@@ -353,25 +341,11 @@ func (h *Host) receiveRequest(now sim.Time, from Record) {
 func (h *Host) adoptZone(z geom.Zone) {
 	h.zone = z.Clone()
 	h.selfRec = Record{ID: h.id, Zone: h.zone}
-	// A pure filter is order-independent, so iterate the map directly
-	// (deleting during range is defined) instead of materializing a
-	// sorted id list — adoptZone runs on every join and take-over.
-	for id, e := range h.view.entries {
-		if _, _, ok := h.zone.Abuts(e.rec.Zone); !ok {
-			delete(h.view.entries, id)
-		}
-	}
+	h.view.keepAbutting(h.zone)
 }
 
 // absorb merges foreign records (for example a departed neighbor's
 // table) into the view, keeping those that abut the current zone.
 func (h *Host) absorb(now sim.Time, recs []Record) {
-	for _, rec := range recs {
-		if rec.ID == h.id {
-			continue
-		}
-		if _, _, ok := h.zone.Abuts(rec.Zone); ok {
-			h.view.indirect(rec, now, h.graceTime(now))
-		}
-	}
+	h.view.merge(h.id, h.zone, recs, now, h.graceTime(now))
 }

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"hetgrid/internal/can"
@@ -36,7 +35,6 @@ type Sim struct {
 	// replyTable below).
 	replyPool []*replyBuf
 	replyHead int
-	replyIDs  []can.NodeID // sorted-id scratch shared across replies
 
 	// Recycled churn-path messages and scratch. The pools mirror the
 	// heartbeat-plane message pools; the scratch slices are consumed
@@ -186,13 +184,7 @@ func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 	// Snapshot the owner's pre-split table into scratch (the announce
 	// loop below still needs it after the view mutates; Records are
 	// stored by value everywhere, so the backing array is reusable).
-	ids := s.replyIDs[:0]
-	for id := range oh.view.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	s.replyIDs = ids
-	preRecs := oh.view.recordsOfInto(s.recScratch[:0], ids)
+	preRecs := oh.view.recordsInto(s.recScratch[:0])
 	s.recScratch = preRecs
 
 	// The splitter knows its own new zone and its new neighbor.
@@ -417,20 +409,27 @@ func (s *Sim) flushBatched() {
 	}
 }
 
-// unionTargets merges a view's believed-neighbor ids with a record
-// list's ids into a sorted, deduplicated scratch slice — the
-// announcement fan-out of a take-over. The result is valid until the
+// unionTargets merges a view's believed-neighbor ids with a table's ids
+// into a sorted, deduplicated scratch slice — the announcement fan-out
+// of a take-over. Both inputs are id-ascending (recs is a table from
+// the wire), so this is one merged walk. The result is valid until the
 // next call; callers finish iterating before anything else can run one.
 func (s *Sim) unionTargets(v *view, recs []Record) []can.NodeID {
 	ids := s.unionScratch[:0]
-	for id := range v.entries {
-		ids = append(ids, id)
+	es := v.entries
+	for i, j := 0, 0; i < len(es) || j < len(recs); {
+		var id can.NodeID
+		if j == len(recs) || (i < len(es) && es[i].rec.ID < recs[j].ID) {
+			id = es[i].rec.ID
+			i++
+		} else {
+			id = recs[j].ID
+			j++
+		}
+		if n := len(ids); n == 0 || ids[n-1] != id {
+			ids = append(ids, id)
+		}
 	}
-	for _, r := range recs {
-		ids = append(ids, r.ID)
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
 	s.unionScratch = ids
 	return ids
 }
@@ -462,10 +461,9 @@ type replyBuf struct {
 }
 
 // replyTable builds the full-table payload for an on-demand reply into
-// a pooled buffer, preserving the ascending-id record order that
-// view.records() produces so reply payloads are byte-for-byte the same
-// as before pooling. The pool grows to the peak number of replies in
-// flight within one latency window and is reused thereafter.
+// a pooled buffer, in the ascending-id wire order. The pool grows to the
+// peak number of replies in flight within one latency window and is
+// reused thereafter.
 func (s *Sim) replyTable(now sim.Time, v *view) []Record {
 	// The pool is a FIFO queue: virtual time never decreases and the
 	// latency is constant, so buffers are enqueued with non-decreasing
@@ -490,13 +488,7 @@ func (s *Sim) replyTable(now sim.Time, v *view) []Record {
 	} else {
 		buf = &replyBuf{}
 	}
-	ids := s.replyIDs[:0]
-	for id := range v.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids) // generic sort: no reflect, no allocation
-	s.replyIDs = ids
-	buf.recs = v.recordsOfInto(buf.recs[:0], ids)
+	buf.recs = v.recordsInto(buf.recs[:0])
 	// Serial retention is exactly one latency (the delivery instant,
 	// with the strict > reuse check covering same-instant ordering).
 	// Sharded retention is two: the delivery may execute on another

@@ -11,9 +11,19 @@ import (
 func testView(ids ...can.NodeID) *view {
 	v := newView()
 	for _, id := range ids {
-		v.entries[id] = &entry{rec: Record{ID: id}}
+		v.put(entry{rec: Record{ID: id}})
 	}
 	return v
+}
+
+// put stores e under its id, replacing any entry already there — the
+// test-side way to plant view state directly.
+func (v *view) put(e entry) {
+	if i, ok := v.search(e.rec.ID); ok {
+		v.entries[i] = e
+	} else {
+		v.insertAt(i, e)
+	}
 }
 
 // TestReplyTableRetention: buffers requested within one latency window
@@ -41,8 +51,8 @@ func TestReplyTableRetention(t *testing.T) {
 	}
 }
 
-// TestReplyTableOrder: pooled replies must preserve the ascending-id
-// order view.records() produces, regardless of map iteration order.
+// TestReplyTableOrder: pooled replies carry the view in ascending-id
+// wire order, whatever order the records were inserted in.
 func TestReplyTableOrder(t *testing.T) {
 	s := NewSim(2, DefaultConfig(Adaptive))
 	v := testView(9, 4, 7, 1)

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"slices"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -42,17 +41,24 @@ type entry struct {
 // view is a node's local neighbor table plus the tombstones that stop
 // stale third-party records from resurrecting known-dead nodes.
 //
+// entries is kept sorted by rec.ID and stores entries by value. A view
+// holds a few dozen records and is read far more often than its
+// membership changes, so a binary search per lookup and an O(n) shift
+// per insert or delete beat hashing: every whole-view read (tables,
+// expiry, ranking, face tests) is an ordered walk that needs no sort,
+// and every id list the view hands out is ascending. A pointer returned
+// by get dies at the next insert or delete.
+//
 // The *Buf fields are per-view scratch reused by the once-per-round
 // computations (expire, ranked, reciprocals): each heartbeat tick runs
 // them once and consumes the results within the tick, so recycling the
 // backing arrays makes the steady-state round allocation-free. The
 // slices they return are valid only until the same method runs again.
 type view struct {
-	entries    map[can.NodeID]*entry
+	entries    []entry
 	tombstones map[can.NodeID]sim.Time // expiry time
 
 	goneBuf   []can.NodeID
-	staleBuf  []can.NodeID
 	rankedBuf []can.NodeID
 	recipBuf  []can.NodeID
 	scoredBuf []faceScored
@@ -66,48 +72,92 @@ type faceScored struct {
 }
 
 func newView() *view {
-	return &view{
-		entries:    make(map[can.NodeID]*entry),
-		tombstones: make(map[can.NodeID]sim.Time),
+	return &view{tombstones: make(map[can.NodeID]sim.Time)}
+}
+
+// search returns the index of id in entries, or the index where it
+// would be inserted, and whether it is present. Hand-written because
+// slices.BinarySearchFunc would copy every probed entry into its
+// comparison closure.
+func (v *view) search(id can.NodeID) (int, bool) {
+	lo, hi := 0, len(v.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.entries[m].rec.ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo, lo < len(v.entries) && v.entries[lo].rec.ID == id
 }
 
-// ids returns the believed-neighbor ids in ascending order, for
-// deterministic iteration.
-func (v *view) ids() []can.NodeID {
-	out := make([]can.NodeID, 0, len(v.entries))
-	for id := range v.entries {
-		out = append(out, id)
+// get returns the entry for id, or nil. The pointer aliases entries and
+// dies at the next insert or delete.
+func (v *view) get(id can.NodeID) *entry {
+	if i, ok := v.search(id); ok {
+		return &v.entries[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
 }
 
-// records returns the view contents sorted by id.
-func (v *view) records() []Record {
-	return v.recordsOf(v.ids())
+// insertAt places e at index i, which must keep entries sorted.
+func (v *view) insertAt(i int, e entry) {
+	v.entries = append(v.entries, entry{})
+	copy(v.entries[i+1:], v.entries[i:])
+	v.entries[i] = e
 }
 
-// recordsOf returns the records for the given ids (skipping any that
-// are no longer present).
-func (v *view) recordsOf(ids []can.NodeID) []Record {
-	return v.recordsOfInto(make([]Record, 0, len(ids)), ids)
+// truncate drops entries[n:], clearing them so dropped zones can be
+// collected.
+func (v *view) truncate(n int) {
+	clear(v.entries[n:])
+	v.entries = v.entries[:n]
 }
 
-// recordsOfInto is recordsOf appending into a caller-owned buffer.
+// appendIDs appends the believed-neighbor ids to dst in ascending order.
+func (v *view) appendIDs(dst []can.NodeID) []can.NodeID {
+	for i := range v.entries {
+		dst = append(dst, v.entries[i].rec.ID)
+	}
+	return dst
+}
+
+// recordsInto appends every record of the view to recs in ascending id
+// order — the wire order of full tables.
+func (v *view) recordsInto(recs []Record) []Record {
+	for i := range v.entries {
+		recs = append(recs, v.entries[i].rec)
+	}
+	return recs
+}
+
+// recordsOfInto appends the records for ids, which must be ascending
+// (as every id list the view hands out is), in one merged walk, skipping
+// ids that are no longer present.
 func (v *view) recordsOfInto(recs []Record, ids []can.NodeID) []Record {
+	j := 0
 	for _, id := range ids {
-		if e := v.entries[id]; e != nil {
-			recs = append(recs, e.rec)
+		for j < len(v.entries) && v.entries[j].rec.ID < id {
+			j++
+		}
+		if j == len(v.entries) {
+			break
+		}
+		if v.entries[j].rec.ID == id {
+			recs = append(recs, v.entries[j].rec)
 		}
 	}
 	return recs
 }
 
-func (v *view) has(id can.NodeID) bool { return v.entries[id] != nil }
+func (v *view) has(id can.NodeID) bool {
+	_, ok := v.search(id)
+	return ok
+}
 
 func (v *view) zoneOf(id can.NodeID) (geom.Zone, bool) {
-	if e := v.entries[id]; e != nil {
+	if e := v.get(id); e != nil {
 		return e.rec.Zone, true
 	}
 	return geom.Zone{}, false
@@ -126,23 +176,30 @@ func (v *view) tombstoned(id can.NodeID, now sim.Time) bool {
 }
 
 func (v *view) bury(id can.NodeID, until sim.Time) {
-	delete(v.entries, id)
+	v.remove(id)
 	v.tombstones[id] = until
 }
 
-func (v *view) remove(id can.NodeID) { delete(v.entries, id) }
+func (v *view) remove(id can.NodeID) {
+	if i, ok := v.search(id); ok {
+		copy(v.entries[i:], v.entries[i+1:])
+		v.truncate(len(v.entries) - 1)
+	}
+}
 
 // direct records first-hand evidence (a message from the node itself):
 // it refreshes lastHeard, lastDirect and the zone.
 func (v *view) direct(rec Record, now sim.Time) {
 	delete(v.tombstones, rec.ID)
-	if e := v.entries[rec.ID]; e != nil {
+	i, ok := v.search(rec.ID)
+	if ok {
+		e := &v.entries[i]
 		e.rec = rec
 		e.lastHeard = now
 		e.lastDirect = now
 		return
 	}
-	v.entries[rec.ID] = &entry{rec: rec, lastHeard: now, lastDirect: now}
+	v.insertAt(i, entry{rec: rec, lastHeard: now, lastDirect: now})
 }
 
 // indirect records third-party evidence (a record inside somebody
@@ -155,11 +212,62 @@ func (v *view) indirect(rec Record, now, graceTime sim.Time) {
 	if v.tombstoned(rec.ID, now) {
 		return
 	}
-	if e := v.entries[rec.ID]; e != nil {
-		e.rec.Zone = rec.Zone
+	i, ok := v.search(rec.ID)
+	if ok {
+		v.entries[i].rec.Zone = rec.Zone
 		return
 	}
-	v.entries[rec.ID] = &entry{rec: rec, lastHeard: graceTime}
+	v.insertAt(i, entry{rec: rec, lastHeard: graceTime})
+}
+
+// merge applies a third-party table as indirect evidence: every record
+// other than self's own whose zone abuts selfZone is integrated, except
+// that a record already present with an unchanged zone is skipped
+// without a geometry test — the steady-state fast path. That skip is
+// the same as indirect because a present entry never has a tombstone:
+// direct clears it, and bury and expire remove the entry. Tables on the
+// wire are id-ascending, so the lookups share one merged walk over the
+// view; an out-of-order record falls back to a binary search, so any
+// order gives the same result.
+func (v *view) merge(self can.NodeID, selfZone geom.Zone, table []Record, now, graceTime sim.Time) {
+	j := 0 // every entry before j has an id below the current record's
+	for _, rec := range table {
+		if rec.ID == self {
+			continue
+		}
+		if j > 0 && v.entries[j-1].rec.ID >= rec.ID {
+			j, _ = v.search(rec.ID)
+		}
+		for j < len(v.entries) && v.entries[j].rec.ID < rec.ID {
+			j++
+		}
+		found := j < len(v.entries) && v.entries[j].rec.ID == rec.ID
+		if found && v.entries[j].rec.Zone.Equal(rec.Zone) {
+			continue
+		}
+		if _, _, ok := selfZone.Abuts(rec.Zone); !ok || v.tombstoned(rec.ID, now) {
+			continue
+		}
+		if found {
+			v.entries[j].rec.Zone = rec.Zone
+		} else {
+			v.insertAt(j, entry{rec: rec, lastHeard: graceTime})
+		}
+	}
+}
+
+// keepAbutting drops every entry whose zone does not abut z.
+func (v *view) keepAbutting(z geom.Zone) {
+	n := 0
+	for i := range v.entries {
+		if _, _, ok := z.Abuts(v.entries[i].rec.Zone); ok {
+			if n != i {
+				v.entries[n] = v.entries[i]
+			}
+			n++
+		}
+	}
+	v.truncate(n)
 }
 
 // expire removes active entries (ranked by us at the previous round, or
@@ -182,37 +290,40 @@ func (v *view) indirect(rec Record, now, graceTime sim.Time) {
 // and expires on the first tick where it is strictly older — the
 // deadline-exact record and the grace-exact record behave identically.
 func (v *view) expire(deadline, passiveDeadline, buryUntil sim.Time) []can.NodeID {
-	gone, stale := v.goneBuf[:0], v.staleBuf[:0]
-	for id, e := range v.entries {
+	gone := v.goneBuf[:0]
+	n := 0
+	for i := range v.entries {
+		e := &v.entries[i]
 		active := e.rankedByUs || e.lastRankedBy >= deadline
 		switch {
 		case active && e.lastHeard < deadline:
-			gone = append(gone, id)
+			gone = append(gone, e.rec.ID)
+			v.tombstones[e.rec.ID] = buryUntil
+			continue
 		case !active && e.lastHeard < passiveDeadline:
-			stale = append(stale, id)
+			continue
 		}
+		if n != i {
+			v.entries[n] = *e
+		}
+		n++
 	}
-	slices.Sort(gone)
-	for _, id := range gone {
-		v.bury(id, buryUntil)
-	}
-	for _, id := range stale {
-		delete(v.entries, id)
-	}
-	v.goneBuf, v.staleBuf = gone, stale
+	v.truncate(n)
+	v.goneBuf = gone
 	return gone
 }
 
 // markRanked records which entries we ranked this round (the liveness
-// expectation used by the next round's expiry).
+// expectation used by the next round's expiry). ids must be ascending,
+// as ranked returns them.
 func (v *view) markRanked(ids []can.NodeID) {
-	for _, e := range v.entries {
-		e.rankedByUs = false
-	}
-	for _, id := range ids {
-		if e := v.entries[id]; e != nil {
-			e.rankedByUs = true
+	j := 0
+	for i := range v.entries {
+		e := &v.entries[i]
+		for j < len(ids) && ids[j] < e.rec.ID {
+			j++
 		}
+		e.rankedByUs = j < len(ids) && ids[j] == e.rec.ID
 	}
 }
 
@@ -220,9 +331,10 @@ func (v *view) markRanked(ids []can.NodeID) {
 // inside the unit space is not fully covered by the believed neighbors'
 // zones — the locally detectable signature of a broken link
 // (Section IV-C). Coverage is tested by comparing the face area against
-// the summed overlap areas of abutting view zones; current (disjoint)
-// zones make this exact, while overlapping stale records can mask a hole
-// until they expire.
+// the summed overlap areas of abutting view zones, added in id order so
+// the float sum (and the verdict near the tolerance) is reproducible;
+// current (disjoint) zones make this exact, while overlapping stale
+// records can mask a hole until they expire.
 func (v *view) uncoveredFace(selfZone geom.Zone) bool {
 	d := selfZone.Dims()
 	for dim := 0; dim < d; dim++ {
@@ -236,10 +348,11 @@ func (v *view) uncoveredFace(selfZone geom.Zone) bool {
 			}
 			need := selfZone.FaceArea(dim)
 			got := 0.0
-			for _, e := range v.entries {
-				adim, adir, ok := selfZone.Abuts(e.rec.Zone)
+			for i := range v.entries {
+				z := v.entries[i].rec.Zone
+				adim, adir, ok := selfZone.Abuts(z)
 				if ok && adim == dim && adir == side {
-					got += selfZone.FaceOverlap(e.rec.Zone, dim)
+					got += selfZone.FaceOverlap(z, dim)
 				}
 			}
 			if got < need*(1-1e-9) {
@@ -256,7 +369,8 @@ func (v *view) uncoveredFace(selfZone geom.Zone) bool {
 // returns every entry. The result is sorted by id.
 func (v *view) ranked(selfZone geom.Zone, perFace int) []can.NodeID {
 	if perFace <= 0 {
-		return v.ids()
+		v.rankedBuf = v.appendIDs(v.rankedBuf[:0])
+		return v.rankedBuf
 	}
 	// Scratch-based equivalent of per-face bucketing: score every
 	// abutting entry, sort by (face, overlap desc, id asc), then take the
@@ -264,12 +378,13 @@ func (v *view) ranked(selfZone geom.Zone, perFace int) []can.NodeID {
 	// so no entry can be selected twice and the result needs only the
 	// final id sort.
 	scored := v.scoredBuf[:0]
-	for id, e := range v.entries {
-		dim, dir, ok := selfZone.Abuts(e.rec.Zone)
+	for i := range v.entries {
+		rec := &v.entries[i].rec
+		dim, dir, ok := selfZone.Abuts(rec.Zone)
 		if !ok {
 			continue
 		}
-		scored = append(scored, faceScored{dim, dir, id, selfZone.FaceOverlap(e.rec.Zone, dim)})
+		scored = append(scored, faceScored{dim, dir, rec.ID, selfZone.FaceOverlap(rec.Zone, dim)})
 	}
 	v.scoredBuf = scored
 	slices.SortFunc(scored, func(a, b faceScored) int {
@@ -303,25 +418,24 @@ func (v *view) ranked(selfZone geom.Zone, perFace int) []can.NodeID {
 	return out
 }
 
-// reciprocals returns the entries whose owners told us — since the
-// given time — that they rank us in their tracked set. We keep
-// heartbeating them so asymmetric rankings stay alive in both
-// directions, without unranked pairs sustaining each other forever.
+// reciprocals returns, in ascending id order, the entries whose owners
+// told us — since the given time — that they rank us in their tracked
+// set. We keep heartbeating them so asymmetric rankings stay alive in
+// both directions, without unranked pairs sustaining each other forever.
 func (v *view) reciprocals(since sim.Time) []can.NodeID {
 	out := v.recipBuf[:0]
-	for id, e := range v.entries {
-		if e.lastRankedBy >= since {
-			out = append(out, id)
+	for i := range v.entries {
+		if e := &v.entries[i]; e.lastRankedBy >= since {
+			out = append(out, e.rec.ID)
 		}
 	}
-	slices.Sort(out)
 	v.recipBuf = out
 	return out
 }
 
 // rankedBy records that the node itself declared it ranks us.
 func (v *view) rankedBy(id can.NodeID, now sim.Time) {
-	if e := v.entries[id]; e != nil {
+	if e := v.get(id); e != nil {
 		e.lastRankedBy = now
 	}
 }
@@ -335,8 +449,8 @@ func (v *view) emptyFace(selfZone geom.Zone) bool {
 	// never has anywhere near 64 dimensions). This runs on every adaptive
 	// heartbeat tick, so it must not allocate.
 	var covLo, covHi uint64
-	for _, e := range v.entries {
-		if dim, dir, ok := selfZone.Abuts(e.rec.Zone); ok {
+	for i := range v.entries {
+		if dim, dir, ok := selfZone.Abuts(v.entries[i].rec.Zone); ok {
 			if dir < 0 {
 				covLo |= 1 << dim
 			} else {

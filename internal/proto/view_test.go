@@ -19,7 +19,7 @@ func TestViewDirectAddsAndRefreshes(t *testing.T) {
 	if !v.has(1) {
 		t.Fatal("direct record not added")
 	}
-	if v.entries[1].lastHeard != 100 {
+	if v.get(1).lastHeard != 100 {
 		t.Fatal("lastHeard not set")
 	}
 	r.Zone = zone2(0, 0, 0.25, 1)
@@ -27,7 +27,7 @@ func TestViewDirectAddsAndRefreshes(t *testing.T) {
 	if z, _ := v.zoneOf(1); !z.Equal(r.Zone) {
 		t.Fatal("direct update did not refresh zone")
 	}
-	if v.entries[1].lastHeard != 200 {
+	if v.get(1).lastHeard != 200 {
 		t.Fatal("lastHeard not refreshed")
 	}
 }
@@ -37,7 +37,7 @@ func TestViewIndirectDoesNotRefreshLiveness(t *testing.T) {
 	r := Record{ID: 1, Zone: zone2(0, 0, 0.5, 1)}
 	v.direct(r, 100)
 	v.indirect(Record{ID: 1, Zone: zone2(0, 0, 0.4, 1)}, 500, 450)
-	if v.entries[1].lastHeard != 100 {
+	if v.get(1).lastHeard != 100 {
 		t.Fatal("indirect evidence must not refresh lastHeard")
 	}
 	if z, _ := v.zoneOf(1); z.Hi[0] != 0.4 {
@@ -51,8 +51,8 @@ func TestViewIndirectAddsWithGraceTime(t *testing.T) {
 	if !v.has(2) {
 		t.Fatal("indirect record not added")
 	}
-	if v.entries[2].lastHeard != 450 {
-		t.Fatalf("grace lastHeard = %d, want 450", v.entries[2].lastHeard)
+	if got := v.get(2).lastHeard; got != 450 {
+		t.Fatalf("grace lastHeard = %d, want 450", got)
 	}
 }
 
@@ -112,8 +112,8 @@ func TestViewIDsSorted(t *testing.T) {
 	for _, id := range []canpkg.NodeID{5, 1, 3} {
 		v.direct(Record{ID: id, Zone: zone2(0, 0, 1, 1)}, 0)
 	}
-	ids := v.ids()
-	if ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
+	ids := v.appendIDs(nil)
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
 		t.Fatalf("ids = %v, want sorted", ids)
 	}
 }
@@ -232,7 +232,7 @@ func TestViewExpireDeadlineBoundary(t *testing.T) {
 	// liveness-checked, not parked as a passive hint.
 	v = newView()
 	v.direct(Record{ID: 3, Zone: zone2(0, 0, 0.5, 1)}, deadline-1)
-	v.entries[3].lastRankedBy = deadline
+	v.get(3).lastRankedBy = deadline
 	if gone := v.expire(deadline, -1<<60, 9999); len(gone) != 1 || gone[0] != 3 {
 		t.Fatalf("rankedBy-at-deadline entry not treated as active: gone=%v", gone)
 	}

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"hetgrid/internal/perf"
@@ -138,33 +137,88 @@ func (id EventID) At() (Time, bool) {
 	return id.ev.at, true
 }
 
+// before reports whether a fires ahead of b: earlier time first, then
+// earlier scheduling. seq is unique per engine, so this is a total order
+// and the pop sequence does not depend on the heap's shape.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a 4-ary min-heap of events under before, with each
+// event's index kept current so Cancel can remove it in O(log n). The
+// wider fan-out halves the tree depth of a binary heap, and the typed
+// comparisons avoid container/heap's interface dispatch.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
+const heapArity = 4
+
+func (q *eventQueue) push(ev *event) {
 	ev.index = len(*q)
 	*q = append(*q, ev)
+	q.up(ev.index)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove deletes and returns the event at heap index i, marking it
+// unqueued (index -1).
+func (q *eventQueue) remove(i int) *event {
+	h := *q
+	n := len(h) - 1
+	ev := h[i]
+	if i != n {
+		h[i] = h[n]
+		h[i].index = i
+	}
+	h[n] = nil
+	*q = h[:n]
+	if i < n && !q.down(i) {
+		q.up(i)
+	}
 	ev.index = -1
-	*q = old[:n-1]
 	return ev
+}
+
+// up sifts the event at index i toward the root.
+func (q eventQueue) up(i int) {
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down sifts the event at index i toward the leaves and reports whether
+// it moved.
+func (q eventQueue) down(i int) bool {
+	ev := q[i]
+	start, n := i, len(q)
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+heapArity, n); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(ev) {
+			break
+		}
+		q[i] = q[m]
+		q[i].index = i
+		i = m
+	}
+	q[i] = ev
+	ev.index = i
+	return i > start
 }
 
 // Engine is a discrete-event simulation engine. The zero value is ready
@@ -236,7 +290,7 @@ func (e *Engine) schedule(at Time, h Handler, c Caller) EventID {
 	}
 	ev.seq = e.nextSeq
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	e.stats.Scheduled++
 	cntScheduled.Inc()
 	return EventID{ev: ev, gen: ev.gen}
@@ -268,9 +322,7 @@ func (e *Engine) Cancel(id EventID) bool {
 	if !id.Valid() {
 		return false
 	}
-	heap.Remove(&e.queue, id.ev.index)
-	id.ev.index = -1
-	e.recycle(id.ev)
+	e.recycle(e.queue.remove(id.ev.index))
 	e.stats.Cancelled++
 	cntCancelled.Inc()
 	return true
@@ -286,7 +338,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.queue.remove(0)
 	e.now = ev.at
 	e.fired++
 	e.stats.Fired++
