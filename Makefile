@@ -2,8 +2,10 @@
 #
 #   make verify   — everything the CI gate runs: build, vet, race tests,
 #                   the end-to-end benchmark harness's own tests (bench/),
-#                   a short benchmark pass that regenerates BENCH_12.json
-#                   against the BENCH_10.json baseline and fails on >15%
+#                   a 10 s fuzz smoke of the requirement-vector oracle and
+#                   the scenario loader, a short benchmark pass that
+#                   regenerates BENCH_13.json against the BENCH_12.json
+#                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
 #                   and telemetry smoke runs that exercise the
@@ -15,7 +17,7 @@ GO ?= go
 BENCHTMP ?= /tmp/hetgrid_bench
 ARTIFACTS ?= artifacts
 
-.PHONY: all build vet test race bench-harness bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke verify
+.PHONY: all build vet test race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke verify
 
 all: build
 
@@ -38,7 +40,16 @@ race:
 bench-harness:
 	$(GO) -C bench test ./...
 
-# bench regenerates BENCH_12.json: the figure drivers run at 3 iterations
+# fuzz-smoke runs two fuzz targets for 10 s each past their committed
+# seed corpora (which `go test` already replays): FuzzJobReq compares
+# the type-sorted CE requirement vector with its map-keyed oracle, and
+# FuzzScenarioLoad feeds mutated scenario YAML through parse, decode and
+# validate, which must return errors, never panic.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzJobReq$$' -fuzztime 10s ./internal/resource
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s ./internal/scenario
+
+# bench regenerates BENCH_13.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks run at 1000 so the overlay caches' one-time build
 # cost amortizes out and ns/op reflects the steady state (the pre-cache
@@ -48,7 +59,7 @@ bench-harness:
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_10.json entries as baselines; the gate then fails the
+# embedding BENCH_12.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -110,7 +121,7 @@ bench:
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_batch1.txt $(BENCHTMP)_batch2.txt \
 		$(BENCHTMP)_win1.txt $(BENCHTMP)_win2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 12 -prev BENCH_10.json -gate 15 -out BENCH_12.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 13 -prev BENCH_12.json -gate 15 -out BENCH_13.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -237,4 +248,4 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: checkpoint violation missing from report"; exit 1; }
 	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + window-policy parity, checkpoint gate enforced)"
 
-verify: build vet race bench-harness bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke
+verify: build vet race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

@@ -548,7 +548,7 @@ func BenchmarkAggRefreshIncremental(b *testing.B) {
 		jobID++
 		j := &exec.Job{
 			ID:           exec.JobID(jobID),
-			Req:          resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 1}}},
+			Req:          resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: 1}}},
 			Dominant:     resource.TypeCPU,
 			BaseDuration: sim.FromSeconds(1e9),
 		}

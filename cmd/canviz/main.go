@@ -77,8 +77,8 @@ func main() {
 
 	// Routing demo: from the first node to a demanding job coordinate.
 	first := ov.Nodes()[0]
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{
-		resource.TypeCPU: {Clock: 2.2, Cores: 4, Memory: 4},
+	req := resource.JobReq{CE: []resource.CEReq{
+		{Type: resource.TypeCPU, Clock: 2.2, Cores: 4, Memory: 4},
 	}}
 	target := space.JobPoint(req, 0.5)
 	path, err := ov.Route(first.ID, target)

@@ -245,6 +245,9 @@ func (c *Cluster) Submit(j *Job, node can.NodeID) error {
 	if r == nil {
 		return fmt.Errorf("exec: submit to unknown node %d", node)
 	}
+	if err := j.Req.Validate(); err != nil {
+		return fmt.Errorf("exec: job %d: %w", j.ID, err)
+	}
 	if !resource.Satisfies(r.Caps, j.Req) {
 		return fmt.Errorf("exec: node %d cannot satisfy job %d", node, j.ID)
 	}
@@ -264,16 +267,19 @@ func (c *Cluster) Submit(j *Job, node can.NodeID) error {
 // rate computes a running job's current service rate (nominal seconds
 // of work per second) from its dominant CE on its run node.
 func (c *Cluster) rate(r *Runtime, j *Job) float64 {
-	ce := r.ces[j.Dominant]
+	ce := r.ceOf(j.Dominant)
 	if ce == nil {
 		// Dominant CE unspecified (pure disk/none job): run at nominal
 		// speed on the CPU.
-		ce = r.ces[resource.TypeCPU]
+		ce = r.ceOf(resource.TypeCPU)
 	}
 	if ce.ce.Dedicated {
 		return ce.ce.Clock
 	}
-	others := ce.usedCor - j.Req.CoresOn(j.Dominant)
+	others := ce.usedCor
+	if q, ok := j.Req.Req(j.Dominant); ok {
+		others -= q.CoresNeeded()
+	}
 	if others < 0 {
 		others = 0
 	}

@@ -24,7 +24,7 @@ func gpuCE(t resource.CEType, clock float64, cores int) resource.CE {
 func cpuJob(id JobID, cores int, dur sim.Duration) *Job {
 	return &Job{
 		ID:           id,
-		Req:          resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: cores}}},
+		Req:          resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: cores}}},
 		Dominant:     resource.TypeCPU,
 		BaseDuration: dur,
 	}
@@ -33,9 +33,9 @@ func cpuJob(id JobID, cores int, dur sim.Duration) *Job {
 func gpuJob(id JobID, t resource.CEType, dur sim.Duration) *Job {
 	return &Job{
 		ID: id,
-		Req: resource.JobReq{CE: map[resource.CEType]resource.CEReq{
-			resource.TypeCPU: {Cores: 1},
-			t:                {Cores: 1},
+		Req: resource.JobReq{CE: []resource.CEReq{
+			{Type: resource.TypeCPU, Cores: 1},
+			{Type: t, Cores: 1},
 		}},
 		Dominant:     t,
 		BaseDuration: dur,
@@ -191,7 +191,7 @@ func TestIsFreeAndAcceptable(t *testing.T) {
 	if !r.IsFree() {
 		t.Fatal("empty node must be free")
 	}
-	cpuReq := resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 1}}}
+	cpuReq := resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: 1}}}
 	if !r.IsAcceptable(cpuReq) {
 		t.Fatal("empty node must be acceptable")
 	}
@@ -204,11 +204,11 @@ func TestIsFreeAndAcceptable(t *testing.T) {
 	if !r.IsAcceptable(cpuReq) {
 		t.Fatal("node with a spare core should accept a 1-core CPU job")
 	}
-	gpuReq := resource.JobReq{CE: map[resource.CEType]resource.CEReq{1: {Cores: 1}}}
+	gpuReq := resource.JobReq{CE: []resource.CEReq{{Type: 1, Cores: 1}}}
 	if r.IsAcceptable(gpuReq) {
 		t.Fatal("busy dedicated GPU must not be acceptable")
 	}
-	two := resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 2}}}
+	two := resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: 2}}}
 	if r.IsAcceptable(two) {
 		t.Fatal("2-core job must not be acceptable with 1 free core")
 	}
@@ -223,7 +223,7 @@ func TestAcceptableRequiresEmptyQueue(t *testing.T) {
 	r := c.AddNode(1, testCaps(1.0, 1))
 	c.Submit(cpuJob(1, 1, 100*sim.Second), 1)
 	c.Submit(cpuJob(2, 1, 100*sim.Second), 1) // queued
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 1}}}
+	req := resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: 1}}}
 	if r.IsAcceptable(req) {
 		t.Fatal("node with a non-empty queue is never acceptable")
 	}

@@ -70,17 +70,6 @@ type Job struct {
 	rate       float64 // nominal seconds of work retired per second
 	rateSince  sim.Time
 	completion sim.EventID
-	reqTypes   []resource.CEType // cached Req.Types(); computed once
-}
-
-// types returns the job's required CE types sorted ascending, computed
-// once per job — Req.Types() allocates and sorts, and the execution
-// plane needs the list on every queue and occupancy transition.
-func (j *Job) types() []resource.CEType {
-	if j.reqTypes == nil {
-		j.reqTypes = j.Req.Types()
-	}
-	return j.reqTypes
 }
 
 // WaitTime is the paper's reported metric: time from placement on the

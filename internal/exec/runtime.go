@@ -7,11 +7,16 @@ import (
 	"hetgrid/internal/resource"
 )
 
-// ceState tracks the live occupancy of one CE.
+// ceState tracks the live occupancy of one CE and the demand waiting
+// for it in the FIFO queue. The queued tallies are maintained on queue
+// transitions so that Score and DemandOn (called per node per
+// aggregation refresh and per score evaluation) never walk the queue.
 type ceState struct {
-	ce      resource.CE
-	usedCor int // sum of required cores of running jobs using this CE
-	runJobs int // running jobs using this CE
+	ce          resource.CE
+	usedCor     int // sum of required cores of running jobs using this CE
+	runJobs     int // running jobs using this CE
+	queuedJobs  int // queued jobs requiring this CE
+	queuedCores int // sum of required cores of queued jobs on this CE
 }
 
 func (c *ceState) freeCores() int { return c.ce.Cores - c.usedCor }
@@ -32,15 +37,9 @@ type Runtime struct {
 	ID   can.NodeID
 	Caps *resource.NodeCaps
 
-	queue []*Job // strictly FIFO: only the head may start
-	ces   map[resource.CEType]*ceState
-	run   []*Job // running jobs, kept sorted by id
-	// queuedJobs / queuedCores are per-CE-type tallies over the FIFO
-	// queue, maintained incrementally on queue transitions so that
-	// Score and DemandOn (called per node per aggregation refresh and
-	// per score evaluation) are O(1) instead of O(queue length).
-	queuedJobs  []int
-	queuedCores []int
+	queue []*Job    // strictly FIFO: only the head may start
+	ces   []ceState // parallel to Caps.CEs
+	run   []*Job    // running jobs, kept sorted by id
 	// dirty marks membership in the cluster's dirty list (the delta
 	// channel consumed by the scheduler's incremental aggregation);
 	// maintained by Cluster.notifyLoad / Cluster.DrainDirty only.
@@ -53,11 +52,22 @@ type Runtime struct {
 }
 
 func newRuntime(id can.NodeID, caps *resource.NodeCaps) *Runtime {
-	r := &Runtime{ID: id, Caps: caps, ces: make(map[resource.CEType]*ceState)}
-	for _, ce := range caps.CEs {
-		r.ces[ce.Type] = &ceState{ce: ce}
+	r := &Runtime{ID: id, Caps: caps, ces: make([]ceState, len(caps.CEs))}
+	for i, ce := range caps.CEs {
+		r.ces[i].ce = ce
 	}
 	return r
+}
+
+// ceOf returns the state of the node's CE of type t, or nil. A node has
+// at most a handful of CEs, so a scan beats any index.
+func (r *Runtime) ceOf(t resource.CEType) *ceState {
+	for i := range r.ces {
+		if r.ces[i].ce.Type == t {
+			return &r.ces[i]
+		}
+	}
+	return nil
 }
 
 // QueueLen returns the number of jobs waiting in the FIFO queue.
@@ -72,17 +82,14 @@ func (r *Runtime) RunningJobs() int { return len(r.run) }
 // hold it across occupy/release.
 func (r *Runtime) running() []*Job { return r.run }
 
-// noteQueued maintains the per-type queue tallies as jobs enter
-// (sign = +1) and leave (sign = -1) the FIFO queue.
+// noteQueued maintains the per-CE queue tallies as jobs enter
+// (sign = +1) and leave (sign = -1) the FIFO queue. Submit admits only
+// jobs the node satisfies, so every required CE exists.
 func (r *Runtime) noteQueued(j *Job, sign int) {
-	for _, t := range j.types() {
-		ti := int(t)
-		for len(r.queuedJobs) <= ti {
-			r.queuedJobs = append(r.queuedJobs, 0)
-			r.queuedCores = append(r.queuedCores, 0)
-		}
-		r.queuedJobs[ti] += sign
-		r.queuedCores[ti] += sign * j.Req.CoresOn(t)
+	for _, q := range j.Req.CE {
+		c := r.ceOf(q.Type)
+		c.queuedJobs += sign
+		c.queuedCores += sign * q.CoresNeeded()
 	}
 }
 
@@ -96,8 +103,8 @@ func (r *Runtime) BusyCoreSeconds() float64 { return r.busyCoreSeconds }
 // totalCores sums a job's core occupancy across its required CEs.
 func totalCores(j *Job) int {
 	n := 0
-	for _, t := range j.types() {
-		n += j.Req.CoresOn(t)
+	for _, q := range j.Req.CE {
+		n += q.CoresNeeded()
 	}
 	return n
 }
@@ -124,13 +131,11 @@ func (r *Runtime) IsAcceptable(req resource.JobReq) bool {
 }
 
 // canStart checks CE availability only (queue discipline is the
-// caller's concern). It iterates the requirement map directly — the
-// all-must-pass check is order-independent, and req.Types() would
-// allocate on every candidate evaluation.
+// caller's concern).
 func (r *Runtime) canStart(req resource.JobReq) bool {
-	for t := range req.CE {
-		c := r.ces[t]
-		if c == nil || !c.canHost(req.CoresOn(t)) {
+	for _, q := range req.CE {
+		c := r.ceOf(q.Type)
+		if c == nil || !c.canHost(q.CoresNeeded()) {
 			return false
 		}
 	}
@@ -142,32 +147,14 @@ func (r *Runtime) canStart(req resource.JobReq) bool {
 // Equation 2 for non-dedicated CEs (core utilization over clock). Lower
 // is better. Nodes lacking the CE type score +Inf-like.
 func (r *Runtime) Score(t resource.CEType) float64 {
-	c := r.ces[t]
+	c := r.ceOf(t)
 	if c == nil {
 		return 1e18
 	}
 	if c.ce.Dedicated {
-		return resource.ScoreDedicated(c.runJobs+r.queuedOn(t), c.ce.Clock)
+		return resource.ScoreDedicated(c.runJobs+c.queuedJobs, c.ce.Clock)
 	}
-	return resource.ScoreNonDedicated(c.usedCor+r.queuedCoresOn(t), c.ce.Cores, c.ce.Clock)
-}
-
-// queuedOn counts waiting jobs that require CE type t (O(1): read from
-// the incrementally maintained tally).
-func (r *Runtime) queuedOn(t resource.CEType) int {
-	if int(t) < len(r.queuedJobs) {
-		return r.queuedJobs[t]
-	}
-	return 0
-}
-
-// queuedCoresOn sums the cores waiting jobs will occupy on CE type t
-// (O(1): read from the incrementally maintained tally).
-func (r *Runtime) queuedCoresOn(t resource.CEType) int {
-	if int(t) < len(r.queuedCores) {
-		return r.queuedCores[t]
-	}
-	return 0
+	return resource.ScoreNonDedicated(c.usedCor+c.queuedCores, c.ce.Cores, c.ce.Clock)
 }
 
 // DemandOn returns the load-aggregation inputs for CE type t: the cores
@@ -175,18 +162,18 @@ func (r *Runtime) queuedCoresOn(t resource.CEType) int {
 // SumOfRequiredCores) and the CE's core count. ok is false when the
 // node has no CE of that type.
 func (r *Runtime) DemandOn(t resource.CEType) (requiredCores, cores int, ok bool) {
-	c := r.ces[t]
+	c := r.ceOf(t)
 	if c == nil {
 		return 0, 0, false
 	}
-	return c.usedCor + r.queuedCoresOn(t), c.ce.Cores, true
+	return c.usedCor + c.queuedCores, c.ce.Cores, true
 }
 
 // UtilizationOn reports the fraction of CE t's cores occupied by
 // running jobs (queued demand excluded). ok is false when the node has
 // no CE of that type.
 func (r *Runtime) UtilizationOn(t resource.CEType) (util float64, ok bool) {
-	c := r.ces[t]
+	c := r.ceOf(t)
 	if c == nil {
 		return 0, false
 	}
@@ -202,9 +189,9 @@ func (r *Runtime) CE(t resource.CEType) *resource.CE { return r.Caps.CE(t) }
 // occupy reserves CEs for a starting job and enters it into the
 // id-sorted running set.
 func (r *Runtime) occupy(j *Job) {
-	for _, t := range j.types() {
-		c := r.ces[t]
-		c.usedCor += j.Req.CoresOn(t)
+	for _, q := range j.Req.CE {
+		c := r.ceOf(q.Type)
+		c.usedCor += q.CoresNeeded()
 		c.runJobs++
 	}
 	i := sort.Search(len(r.run), func(i int) bool { return r.run[i].ID >= j.ID })
@@ -215,9 +202,9 @@ func (r *Runtime) occupy(j *Job) {
 
 // release frees a running job's CEs (on completion or preemption).
 func (r *Runtime) release(j *Job) {
-	for _, t := range j.types() {
-		c := r.ces[t]
-		c.usedCor -= j.Req.CoresOn(t)
+	for _, q := range j.Req.CE {
+		c := r.ceOf(q.Type)
+		c.usedCor -= q.CoresNeeded()
 		c.runJobs--
 	}
 	i := sort.Search(len(r.run), func(i int) bool { return r.run[i].ID >= j.ID })

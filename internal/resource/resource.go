@@ -13,7 +13,6 @@ package resource
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -119,72 +118,91 @@ func (n *NodeCaps) String() string {
 	return b.String()
 }
 
-// CEReq is a job's requirement on one CE type. Zero fields mean "any
+// CEReq is a job's requirement on one CE type. Zero amounts mean "any
 // amount is acceptable" (the paper's omitted requirement).
 type CEReq struct {
+	Type   CEType  // the CE type the requirement names
 	Clock  float64 // minimum clock speed, relative to nominal
 	Memory float64 // minimum CE memory in GB
 	Cores  int     // cores the job occupies on this CE (≥1 once specified)
 }
 
-// JobReq is a job's full requirement vector.
-type JobReq struct {
-	CE   map[CEType]CEReq // requirements per CE type; absent type = not needed
-	Disk float64          // minimum disk space in GB; 0 = unspecified
-}
-
-// Clone returns a deep copy of r.
-func (r JobReq) Clone() JobReq {
-	c := JobReq{Disk: r.Disk}
-	if r.CE != nil {
-		c.CE = make(map[CEType]CEReq, len(r.CE))
-		for t, q := range r.CE {
-			c.CE[t] = q
-		}
-	}
-	return c
-}
-
-// Types returns the CE types the job requires, sorted ascending.
-func (r JobReq) Types() []CEType {
-	ts := make([]CEType, 0, len(r.CE))
-	for t := range r.CE {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	return ts
-}
-
-// CoresOn returns the number of cores the job occupies on CE type t: the
-// specified requirement, but at least 1 for any required CE (a job that
-// names a CE uses at least one of its cores).
-func (r JobReq) CoresOn(t CEType) int {
-	q, ok := r.CE[t]
-	if !ok {
-		return 0
-	}
+// CoresNeeded returns the number of cores the job occupies on the CE:
+// the specified requirement, but at least 1 (a job that names a CE uses
+// at least one of its cores).
+func (q CEReq) CoresNeeded() int {
 	if q.Cores < 1 {
 		return 1
 	}
 	return q.Cores
 }
 
+// JobReq is a job's full requirement vector. CE mirrors NodeCaps.CEs:
+// one entry per required type, ascending by type (Validate checks it);
+// an absent type is not needed.
+type JobReq struct {
+	CE   []CEReq
+	Disk float64 // minimum disk space in GB; 0 = unspecified
+}
+
+// Clone returns a deep copy of r.
+func (r JobReq) Clone() JobReq {
+	return JobReq{CE: append([]CEReq(nil), r.CE...), Disk: r.Disk}
+}
+
+// Req returns the requirement on CE type t, and false if the job does
+// not need t.
+func (r JobReq) Req(t CEType) (CEReq, bool) {
+	for _, q := range r.CE {
+		if q.Type == t {
+			return q, true
+		}
+	}
+	return CEReq{}, false
+}
+
+// Validate checks the vector's contract: CE types non-negative and
+// strictly ascending, amounts non-negative. Satisfies trusts the order,
+// so an unsorted vector would be mis-matched rather than rejected.
+func (r JobReq) Validate() error {
+	prev := CEType(-1)
+	for i, q := range r.CE {
+		if q.Type <= prev {
+			return fmt.Errorf("CE[%d]: type %v out of order, duplicated or negative", i, q.Type)
+		}
+		prev = q.Type
+		if !(q.Clock >= 0) || !(q.Memory >= 0) || q.Cores < 0 {
+			return fmt.Errorf("CE[%d] (%v): negative requirement", i, q.Type)
+		}
+	}
+	if !(r.Disk >= 0) {
+		return fmt.Errorf("negative disk requirement")
+	}
+	return nil
+}
+
 // Satisfies reports whether node n can ever run a job with requirements
 // r: every required CE type exists on the node with sufficient clock,
 // memory and cores, and the node has sufficient disk. Availability (idle
 // vs busy) is a separate, dynamic question answered by the exec package.
+// Both CE lists are sorted by type, so the check is one merge walk.
 func Satisfies(n *NodeCaps, r JobReq) bool {
 	if n.Disk < r.Disk {
 		return false
 	}
-	for t, q := range r.CE {
-		ce := n.CE(t)
-		if ce == nil {
+	i := 0
+	for _, q := range r.CE {
+		for i < len(n.CEs) && n.CEs[i].Type < q.Type {
+			i++
+		}
+		if i == len(n.CEs) || n.CEs[i].Type != q.Type {
 			return false
 		}
-		if ce.Clock < q.Clock || ce.Memory < q.Memory || ce.Cores < r.CoresOn(t) {
+		ce := &n.CEs[i]
+		if ce.Clock < q.Clock || ce.Memory < q.Memory || ce.Cores < q.CoresNeeded() {
 			return false
 		}
+		i++
 	}
 	return true
 }
@@ -198,16 +216,11 @@ func Satisfies(n *NodeCaps, r JobReq) bool {
 // type so an accelerator wins over the CPU. A job with no CE
 // requirement defaults to the CPU.
 func DominantCE(r JobReq) CEType {
-	if len(r.CE) == 0 {
-		return TypeCPU
-	}
-	best := CEType(-1)
-	bestScore := -1.0
-	for _, t := range r.Types() {
-		q := r.CE[t]
-		score := q.Memory + float64(r.CoresOn(t))
-		if score > bestScore || (score == bestScore && t > best) {
-			best, bestScore = t, score
+	best, bestScore := TypeCPU, -1.0
+	for _, q := range r.CE {
+		score := q.Memory + float64(q.CoresNeeded())
+		if score >= bestScore { // r.CE ascends, so ties go to the higher type
+			best, bestScore = q.Type, score
 		}
 	}
 	return best

@@ -83,19 +83,19 @@ func TestCELookup(t *testing.T) {
 
 func TestSatisfiesCPUOnly(t *testing.T) {
 	n := testNode()
-	ok := JobReq{CE: map[CEType]CEReq{TypeCPU: {Clock: 1.5, Memory: 4, Cores: 2}}}
+	ok := JobReq{CE: []CEReq{{Type: TypeCPU, Clock: 1.5, Memory: 4, Cores: 2}}}
 	if !Satisfies(n, ok) {
 		t.Fatal("satisfiable requirement rejected")
 	}
-	tooFast := JobReq{CE: map[CEType]CEReq{TypeCPU: {Clock: 2.5}}}
+	tooFast := JobReq{CE: []CEReq{{Type: TypeCPU, Clock: 2.5}}}
 	if Satisfies(n, tooFast) {
 		t.Fatal("clock requirement above capability accepted")
 	}
-	tooManyCores := JobReq{CE: map[CEType]CEReq{TypeCPU: {Cores: 8}}}
+	tooManyCores := JobReq{CE: []CEReq{{Type: TypeCPU, Cores: 8}}}
 	if Satisfies(n, tooManyCores) {
 		t.Fatal("core requirement above capability accepted")
 	}
-	tooMuchMem := JobReq{CE: map[CEType]CEReq{TypeCPU: {Memory: 16}}}
+	tooMuchMem := JobReq{CE: []CEReq{{Type: TypeCPU, Memory: 16}}}
 	if Satisfies(n, tooMuchMem) {
 		t.Fatal("memory requirement above capability accepted")
 	}
@@ -113,7 +113,7 @@ func TestSatisfiesDisk(t *testing.T) {
 
 func TestSatisfiesMissingGPU(t *testing.T) {
 	n := testNode() // no GPU
-	req := JobReq{CE: map[CEType]CEReq{1: {Clock: 0.5}}}
+	req := JobReq{CE: []CEReq{{Type: 1, Clock: 0.5}}}
 	if Satisfies(n, req) {
 		t.Fatal("node without the required CE type accepted")
 	}
@@ -130,15 +130,14 @@ func TestSatisfiesEmptyRequirementMatchesAnything(t *testing.T) {
 }
 
 func TestCoresOnDefaultsToOne(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{TypeCPU: {Clock: 1.0}}}
-	if r.CoresOn(TypeCPU) != 1 {
+	r := JobReq{CE: []CEReq{{Type: TypeCPU, Clock: 1.0}}}
+	if q, ok := r.Req(TypeCPU); !ok || q.CoresNeeded() != 1 {
 		t.Fatal("a required CE must occupy at least one core")
 	}
-	if r.CoresOn(1) != 0 {
-		t.Fatal("an unrequired CE must occupy zero cores")
+	if _, ok := r.Req(1); ok {
+		t.Fatal("an unrequired CE must not be found")
 	}
-	r2 := JobReq{CE: map[CEType]CEReq{TypeCPU: {Cores: 3}}}
-	if r2.CoresOn(TypeCPU) != 3 {
+	if (CEReq{Type: TypeCPU, Cores: 3}).CoresNeeded() != 3 {
 		t.Fatal("explicit core requirement ignored")
 	}
 }
@@ -147,9 +146,9 @@ func TestDominantCECUDAExample(t *testing.T) {
 	// The paper's CUDA example: the job needs a CPU (1 core, control
 	// thread) and a GPU (many cores, most of the memory demand). The
 	// GPU must dominate.
-	r := JobReq{CE: map[CEType]CEReq{
-		TypeCPU: {Cores: 1, Memory: 1},
-		1:       {Cores: 128, Memory: 2},
+	r := JobReq{CE: []CEReq{
+		{Type: TypeCPU, Cores: 1, Memory: 1},
+		{Type: 1, Cores: 128, Memory: 2},
 	}}
 	if got := DominantCE(r); got != 1 {
 		t.Fatalf("DominantCE = %v, want gpu1", got)
@@ -157,9 +156,9 @@ func TestDominantCECUDAExample(t *testing.T) {
 }
 
 func TestDominantCECPUHeavyJob(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{
-		TypeCPU: {Cores: 8, Memory: 16},
-		1:       {Cores: 1, Memory: 0.1},
+	r := JobReq{CE: []CEReq{
+		{Type: TypeCPU, Cores: 8, Memory: 16},
+		{Type: 1, Cores: 1, Memory: 0.1},
 	}}
 	if got := DominantCE(r); got != TypeCPU {
 		t.Fatalf("DominantCE = %v, want cpu", got)
@@ -174,9 +173,9 @@ func TestDominantCEDefaultsToCPU(t *testing.T) {
 
 func TestDominantCETieGoesToAccelerator(t *testing.T) {
 	// Equal absolute demand on both CEs: the accelerator wins.
-	r := JobReq{CE: map[CEType]CEReq{
-		TypeCPU: {Cores: 4, Memory: 2},
-		1:       {Cores: 4, Memory: 2},
+	r := JobReq{CE: []CEReq{
+		{Type: TypeCPU, Cores: 4, Memory: 2},
+		{Type: 1, Cores: 4, Memory: 2},
 	}}
 	if got := DominantCE(r); got != 1 {
 		t.Fatalf("DominantCE tie = %v, want gpu1", got)
@@ -241,19 +240,64 @@ func TestStopProbability(t *testing.T) {
 }
 
 func TestJobReqClone(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{TypeCPU: {Cores: 2}}, Disk: 10}
+	r := JobReq{CE: []CEReq{{Type: TypeCPU, Cores: 2}}, Disk: 10}
 	c := r.Clone()
-	c.CE[TypeCPU] = CEReq{Cores: 9}
-	if r.CE[TypeCPU].Cores != 2 {
-		t.Fatal("Clone shares the CE map")
+	c.CE[0].Cores = 9
+	if r.CE[0].Cores != 2 {
+		t.Fatal("Clone shares the CE slice")
 	}
 }
 
-func TestTypesSorted(t *testing.T) {
-	r := JobReq{CE: map[CEType]CEReq{2: {}, TypeCPU: {}, 1: {}}}
-	ts := r.Types()
-	if len(ts) != 3 || ts[0] != 0 || ts[1] != 1 || ts[2] != 2 {
-		t.Fatalf("Types = %v, want [0 1 2]", ts)
+func TestJobReqValidate(t *testing.T) {
+	good := []JobReq{
+		{},
+		{Disk: 10},
+		{CE: []CEReq{{Type: TypeCPU}}},
+		{CE: []CEReq{{Type: TypeCPU, Cores: 2}, {Type: 1, Cores: 32, Memory: 1}}},
+		{CE: []CEReq{{Type: 2, Clock: 0.5}}},
+		{CE: []CEReq{{Type: TypeCPU}, {Type: 3}}},
+	}
+	for _, r := range good {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", r, err)
+		}
+	}
+	nan := math.NaN()
+	bad := []struct {
+		name string
+		req  JobReq
+	}{
+		{"unsorted", JobReq{CE: []CEReq{{Type: 1}, {Type: TypeCPU}}}},
+		{"unsorted gpus", JobReq{CE: []CEReq{{Type: TypeCPU}, {Type: 2}, {Type: 1}}}},
+		{"duplicate cpu", JobReq{CE: []CEReq{{Type: TypeCPU}, {Type: TypeCPU, Cores: 1}}}},
+		{"duplicate gpu", JobReq{CE: []CEReq{{Type: 1}, {Type: 1}}}},
+		{"negative type", JobReq{CE: []CEReq{{Type: -1}}}},
+		{"negative clock", JobReq{CE: []CEReq{{Type: TypeCPU, Clock: -1}}}},
+		{"negative memory", JobReq{CE: []CEReq{{Type: 1, Memory: -0.5}}}},
+		{"negative cores", JobReq{CE: []CEReq{{Type: TypeCPU, Cores: -2}}}},
+		{"NaN clock", JobReq{CE: []CEReq{{Type: TypeCPU, Clock: nan}}}},
+		{"negative disk", JobReq{Disk: -1}},
+		{"NaN disk", JobReq{Disk: nan}},
+	}
+	for _, c := range bad {
+		if err := c.req.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", c.name, c.req)
+		}
+	}
+}
+
+// TestUnsortedReqWouldMismatch pins why Validate exists: the merge walk
+// in Satisfies trusts the order, so a reversed vector that the node can
+// in fact serve is refused rather than matched.
+func TestUnsortedReqWouldMismatch(t *testing.T) {
+	n := testNode(gpu(1, 1.0, 240, 4))
+	sorted := JobReq{CE: []CEReq{{Type: TypeCPU}, {Type: 1}}}
+	reversed := JobReq{CE: []CEReq{{Type: 1}, {Type: TypeCPU}}}
+	if !Satisfies(n, sorted) {
+		t.Fatal("sorted vector rejected")
+	}
+	if Satisfies(n, reversed) || reversed.Validate() == nil {
+		t.Fatal("reversed vector must be mis-matched by Satisfies and rejected by Validate")
 	}
 }
 

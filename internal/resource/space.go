@@ -141,21 +141,19 @@ func (s *Space) JobPointInto(p geom.Point, r JobReq, virtual float64) geom.Point
 	for i := range p {
 		p[i] = 0
 	}
-	if q, ok := r.CE[TypeCPU]; ok {
-		p[0] = normCoord(q.Clock, s.Norms.CPUClock)
-		p[1] = normCoord(q.Memory, s.Norms.Memory)
-		p[3] = normCoord(float64(r.CoresOn(TypeCPU)), float64(s.Norms.CPUCores))
-	}
 	p[2] = normCoord(r.Disk, s.Norms.Disk)
-	for slot := 1; slot <= s.GPUSlots; slot++ {
-		q, ok := r.CE[CEType(slot)]
-		if !ok {
-			continue
+	for _, q := range r.CE {
+		switch {
+		case q.Type == TypeCPU:
+			p[0] = normCoord(q.Clock, s.Norms.CPUClock)
+			p[1] = normCoord(q.Memory, s.Norms.Memory)
+			p[3] = normCoord(float64(q.CoresNeeded()), float64(s.Norms.CPUCores))
+		case q.Type > TypeCPU && int(q.Type) <= s.GPUSlots:
+			base := s.ceBase(q.Type)
+			p[base] = normCoord(q.Clock, s.Norms.GPUClock)
+			p[base+1] = normCoord(q.Memory, s.Norms.GPUMemory)
+			p[base+2] = normCoord(float64(q.CoresNeeded()), float64(s.Norms.GPUCores))
 		}
-		base := s.ceBase(CEType(slot))
-		p[base] = normCoord(q.Clock, s.Norms.GPUClock)
-		p[base+1] = normCoord(q.Memory, s.Norms.GPUMemory)
-		p[base+2] = normCoord(float64(r.CoresOn(CEType(slot))), float64(s.Norms.GPUCores))
 	}
 	if virtual < 0 {
 		virtual = 0

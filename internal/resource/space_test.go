@@ -129,19 +129,19 @@ func TestDominationMatchesSatisfies(t *testing.T) {
 		if hasGPU {
 			n.CEs = append(n.CEs, gpu(1, 1.2, 240, 4))
 		}
-		req := JobReq{CE: map[CEType]CEReq{
-			TypeCPU: {
-				Clock:  float64(clockR) / 64, // 0..4
-				Memory: float64(memR) / 16,   // 0..16
-				Cores:  int(coreR)%9 + 0,     // 0..8
-			},
-		}}
+		req := JobReq{CE: []CEReq{{
+			Type:   TypeCPU,
+			Clock:  float64(clockR) / 64, // 0..4
+			Memory: float64(memR) / 16,   // 0..16
+			Cores:  int(coreR)%9 + 0,     // 0..8
+		}}}
 		if gclockR%2 == 0 {
-			req.CE[1] = CEReq{
+			req.CE = append(req.CE, CEReq{
+				Type:   1,
 				Clock:  float64(gclockR) / 128,
 				Memory: float64(gmemR) / 42,
 				Cores:  int(gcoreR) * 2,
-			}
+			})
 		}
 		nodePt := s.NodePoint(n)
 		jobPt := s.JobPoint(req, 0)

@@ -34,7 +34,7 @@ func testGrid(t *testing.T, n int, gpuSlots int, seed int64) (*Context, *can.Ove
 }
 
 func cpuReq(cores int) resource.JobReq {
-	return resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: cores}}}
+	return resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: cores}}}
 }
 
 func cpuJob(id int, cores int) *exec.Job {
@@ -47,9 +47,9 @@ func cpuJob(id int, cores int) *exec.Job {
 }
 
 func gpuJob(id int, slot resource.CEType) *exec.Job {
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{
-		resource.TypeCPU: {Cores: 1},
-		slot:             {Cores: 32},
+	req := resource.JobReq{CE: []resource.CEReq{
+		{Type: resource.TypeCPU, Cores: 1},
+		{Type: slot, Cores: 32},
 	}}
 	return &exec.Job{
 		ID:           exec.JobID(id),
@@ -153,7 +153,7 @@ func TestCentralUnmatchable(t *testing.T) {
 	s := NewCentral(ctx)
 	impossible := &exec.Job{
 		ID:       1,
-		Req:      resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 64}}},
+		Req:      resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: 64}}},
 		Dominant: resource.TypeCPU,
 	}
 	if _, err := s.Place(impossible); err != ErrUnmatchable {
@@ -292,8 +292,8 @@ func TestFallbackCountsAndPlaces(t *testing.T) {
 	ctx, ov, _ := testGrid(t, 40, 1, 7)
 	var st Stats
 	// A requirement only few nodes meet.
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{
-		resource.TypeCPU: {Clock: 3.0, Cores: 8, Memory: 16},
+	req := resource.JobReq{CE: []resource.CEReq{
+		{Type: resource.TypeCPU, Clock: 3.0, Cores: 8, Memory: 16},
 	}}
 	n := ctx.fallback(req, resource.TypeCPU, &st)
 	any := false
@@ -394,7 +394,7 @@ func TestCanHomUnmatchable(t *testing.T) {
 	s := NewCanHom(ctx)
 	impossible := &exec.Job{
 		ID:       1,
-		Req:      resource.JobReq{CE: map[resource.CEType]resource.CEReq{resource.TypeCPU: {Cores: 64}}},
+		Req:      resource.JobReq{CE: []resource.CEReq{{Type: resource.TypeCPU, Cores: 64}}},
 		Dominant: resource.TypeCPU,
 	}
 	if _, err := s.Place(impossible); err != ErrUnmatchable {

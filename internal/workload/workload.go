@@ -199,36 +199,42 @@ func (g *JobGen) keep(v float64) float64 {
 
 // Next generates the next job and the gap until the following arrival.
 func (g *JobGen) Next() (*exec.Job, sim.Duration) {
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{}}
+	var req resource.JobReq
 
 	gpuJob := g.space.GPUSlots > 0 && g.rnd.Bool(g.GPUJobFraction)
 
 	cpu := resource.CEReq{
+		Type:   resource.TypeCPU,
 		Clock:  g.keep(g.cpuClockReq.Sample(g.rnd)),
 		Memory: g.keep(g.cpuMemReq.Sample(g.rnd)),
 		Cores:  int(g.keep(g.cpuCoreReq.Sample(g.rnd))),
 	}
+	var gq resource.CEReq
 	if gpuJob {
 		// A CUDA-style job: the CPU hosts a control thread only.
-		cpu = resource.CEReq{Clock: g.keep(0.8), Memory: g.keep(0.5), Cores: 1}
+		cpu = resource.CEReq{Type: resource.TypeCPU, Clock: g.keep(0.8), Memory: g.keep(0.5), Cores: 1}
 		slot := 1 + g.rnd.Intn(g.space.GPUSlots)
-		gq := resource.CEReq{
+		gq = resource.CEReq{
+			Type:   resource.CEType(slot),
 			Clock:  g.keep(g.gpuClockReq.Sample(g.rnd)),
 			Memory: g.keep(g.gpuMemReq.Sample(g.rnd)),
 			Cores:  int(g.keep(g.gpuCoreReq.Sample(g.rnd))),
 		}
-		if gq != (resource.CEReq{}) {
-			req.CE[resource.CEType(slot)] = gq
-		}
 	}
-	if cpu != (resource.CEReq{}) {
-		req.CE[resource.TypeCPU] = cpu
+	// A requirement whose amounts were all dropped is not a requirement.
+	// The CPU precedes any accelerator, keeping the vector type-sorted.
+	req.CE = make([]resource.CEReq, 0, 2)
+	if cpu != (resource.CEReq{Type: resource.TypeCPU}) {
+		req.CE = append(req.CE, cpu)
+	}
+	if gpuJob && gq != (resource.CEReq{Type: gq.Type}) {
+		req.CE = append(req.CE, gq)
 	}
 	req.Disk = g.keep(g.diskReq.Sample(g.rnd))
 	if len(req.CE) == 0 {
 		// Everything was dropped by the constraint ratio: the job still
 		// needs somewhere to run.
-		req.CE[resource.TypeCPU] = resource.CEReq{Cores: 1}
+		req.CE = append(req.CE, resource.CEReq{Type: resource.TypeCPU, Cores: 1})
 	}
 
 	base := sim.Duration(g.rnd.Uniform(float64(g.MinRuntime), float64(g.MaxRuntime)))

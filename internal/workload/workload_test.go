@@ -105,8 +105,11 @@ func TestJobGenValidJobs(t *testing.T) {
 		if j.BaseDuration < g.MinRuntime || j.BaseDuration > g.MaxRuntime {
 			t.Fatalf("duration %v outside [%v, %v]", j.BaseDuration, g.MinRuntime, g.MaxRuntime)
 		}
-		if _, ok := j.Req.CE[j.Dominant]; !ok {
-			t.Fatalf("dominant CE %v not among requirements %v", j.Dominant, j.Req.Types())
+		if _, ok := j.Req.Req(j.Dominant); !ok {
+			t.Fatalf("dominant CE %v not among requirements %v", j.Dominant, j.Req.CE)
+		}
+		if err := j.Req.Validate(); err != nil {
+			t.Fatalf("job %d: %v", j.ID, err)
 		}
 	}
 }

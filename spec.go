@@ -102,11 +102,11 @@ type CEReqSpec struct {
 }
 
 func (j JobSpec) toReq(gpuSlots int) (resource.JobReq, error) {
-	req := resource.JobReq{CE: map[resource.CEType]resource.CEReq{}, Disk: j.DiskGB}
+	req := resource.JobReq{Disk: j.DiskGB}
 	if j.CPU != nil {
-		req.CE[resource.TypeCPU] = resource.CEReq{
-			Clock: j.CPU.Clock, Cores: j.CPU.Cores, Memory: j.CPU.MemoryGB,
-		}
+		req.CE = append(req.CE, resource.CEReq{
+			Type: resource.TypeCPU, Clock: j.CPU.Clock, Cores: j.CPU.Cores, Memory: j.CPU.MemoryGB,
+		})
 	}
 	if j.GPU != nil {
 		slot := j.GPUSlot
@@ -116,12 +116,15 @@ func (j JobSpec) toReq(gpuSlots int) (resource.JobReq, error) {
 		if slot < 1 || slot > gpuSlots {
 			return resource.JobReq{}, fmt.Errorf("hetgrid: GPU slot %d outside 1..%d", slot, gpuSlots)
 		}
-		req.CE[resource.CEType(slot)] = resource.CEReq{
-			Clock: j.GPU.Clock, Cores: j.GPU.Cores, Memory: j.GPU.MemoryGB,
-		}
+		req.CE = append(req.CE, resource.CEReq{
+			Type: resource.CEType(slot), Clock: j.GPU.Clock, Cores: j.GPU.Cores, Memory: j.GPU.MemoryGB,
+		})
 	}
 	if len(req.CE) == 0 {
-		req.CE[resource.TypeCPU] = resource.CEReq{Cores: 1}
+		req.CE = append(req.CE, resource.CEReq{Type: resource.TypeCPU, Cores: 1})
+	}
+	if err := req.Validate(); err != nil {
+		return resource.JobReq{}, fmt.Errorf("hetgrid: invalid job spec: %w", err)
 	}
 	if j.DurationHours <= 0 {
 		return resource.JobReq{}, fmt.Errorf("hetgrid: job needs a positive DurationHours")

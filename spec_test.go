@@ -84,7 +84,7 @@ func TestJobSpecDefaultsGPUSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := req.CE[1]; !ok {
+	if _, ok := req.Req(1); !ok {
 		t.Fatal("GPU requirement without a slot should default to slot 1")
 	}
 }
@@ -94,7 +94,28 @@ func TestJobSpecEmptyGetsMinimalCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.CoresOn(0) != 1 {
+	if q, ok := req.Req(0); !ok || q.CoresNeeded() != 1 {
 		t.Fatal("empty job spec should require one CPU core")
+	}
+}
+
+func TestJobSpecRejectsNegativeRequirements(t *testing.T) {
+	bad := []JobSpec{
+		{CPU: &CEReqSpec{Clock: -1}, DurationHours: 1},
+		{CPU: &CEReqSpec{Cores: -2}, DurationHours: 1},
+		{GPU: &CEReqSpec{MemoryGB: -0.5}, DurationHours: 1},
+		{DiskGB: -10, DurationHours: 1},
+	}
+	for _, spec := range bad {
+		if _, err := spec.toReq(2); err == nil {
+			t.Errorf("toReq accepted %+v", spec)
+		}
+	}
+	req, err := JobSpec{CPU: &CEReqSpec{Cores: 1}, GPU: &CEReqSpec{Cores: 32}, GPUSlot: 2, DurationHours: 1}.toReq(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.CE) != 2 || req.CE[0].Type != 0 || req.CE[1].Type != 2 {
+		t.Fatalf("CUDA-style spec built %+v, want [cpu gpu2] in type order", req.CE)
 	}
 }
