@@ -1,10 +1,11 @@
 # hetgrid build/verify harness.
 #
-#   make verify   — everything the CI gate runs: build, vet, race tests,
+#   make verify   — everything the CI gate runs: a gofmt check, build,
+#                   vet, race tests,
 #                   the end-to-end benchmark harness's own tests (bench/),
 #                   a 10 s fuzz smoke of the requirement-vector oracle and
 #                   the scenario loader, a short benchmark pass that
-#                   regenerates BENCH_13.json against the BENCH_12.json
+#                   regenerates BENCH_14.json against the BENCH_13.json
 #                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
@@ -17,9 +18,14 @@ GO ?= go
 BENCHTMP ?= /tmp/hetgrid_bench
 ARTIFACTS ?= artifacts
 
-.PHONY: all build vet test race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke verify
+.PHONY: all fmt-check build vet test race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke verify
 
 all: build
+
+# fmt-check fails when any Go file in the tree, bench/ included, is not
+# gofmt-clean, and lists the offenders.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "fmt-check: run gofmt -w on the files above"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -49,17 +55,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobReq$$' -fuzztime 10s ./internal/resource
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s ./internal/scenario
 
-# bench regenerates BENCH_13.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_14.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
-# micro-benchmarks run at 1000 so the overlay caches' one-time build
-# cost amortizes out and ns/op reflects the steady state (the pre-cache
+# micro-benchmarks — placement, aggregation refresh and greedy CAN
+# routing at d=5 and d=11 (CANRoute) — run at 1000 so the overlay
+# caches' one-time build cost amortizes out and ns/op reflects the
+# steady state (the pre-cache
 # baselines are iteration-count-independent, so the comparison is
 # unaffected). Each suite repeats (-count; 10 for the millisecond-cheap
 # hot suite, 5 for the figure drivers) and benchjson keeps the fastest
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_12.json entries as baselines; the gate then fails the
+# embedding BENCH_13.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -89,7 +97,7 @@ fuzz-smoke:
 # its adaptive entry prices the wide-window machinery; the anchored
 # regex keeps the ungated 100k smoke variant out of the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'Placement|PlaceSteadyState|AggRefresh$$' \
+	$(GO) test -run '^$$' -bench 'Placement|PlaceSteadyState|AggRefresh$$|CANRoute$$' \
 		-benchmem -benchtime 1000x -count 10 . | tee $(BENCHTMP)_hot.txt
 	$(GO) test -run '^$$' -bench 'AggRefreshIncremental|ChurnStorm$$' \
 		-benchmem -benchtime 100x -count 3 . | tee $(BENCHTMP)_agg1.txt
@@ -121,7 +129,7 @@ bench:
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_batch1.txt $(BENCHTMP)_batch2.txt \
 		$(BENCHTMP)_win1.txt $(BENCHTMP)_win2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 13 -prev BENCH_12.json -gate 15 -out BENCH_13.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 14 -prev BENCH_13.json -gate 15 -out BENCH_14.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -248,4 +256,4 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: checkpoint violation missing from report"; exit 1; }
 	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + window-policy parity, checkpoint gate enforced)"
 
-verify: build vet race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke
+verify: fmt-check build vet race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

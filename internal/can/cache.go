@@ -12,10 +12,13 @@ import "sort"
 // pure functions of the overlay version. The overlay therefore keeps:
 //
 //   - a per-node cached view: the ID-sorted neighbor slice plus the
-//     precomputed (neighbor, dim) outward pairs derived from Zone.Abuts.
-//     Views are invalidated selectively — only for nodes whose adjacency
-//     or zone geometry actually changed — by the incremental rewire
-//     paths, which already know the dirty set;
+//     precomputed (neighbor, dim, position) outward pairs derived from
+//     Zone.Abuts. Views live in a slice indexed by NodeID (IDs are
+//     sequential and never reused), so a read is a bounds check and a
+//     load, not a map probe; a node's slot is filled at join and
+//     emptied at removal. Views are invalidated selectively — only for
+//     nodes whose adjacency or zone geometry actually changed — by the
+//     incremental rewire paths, which already know the dirty set;
 //   - a shared, version-keyed membership snapshot served by Nodes().
 //
 // Invalidation invariant: a node's cached view stays correct across a
@@ -37,10 +40,15 @@ import "sort"
 // hold them across churn must revalidate against Version().
 
 // Outward is one push direction out of a node: a neighbor on the high
-// side of the node's zone along dimension Dim.
+// side of the node's zone along dimension Dim. Pos is the neighbor's
+// index in the owner's NeighborView, so a caller that computed a
+// per-neighbor result over that view can look it up without a search.
+// The int32 fields keep a pair at 16 bytes; a d=11 overlay caches about
+// fifty pairs per node.
 type Outward struct {
 	Node *Node
-	Dim  int
+	Dim  int32
+	Pos  int32
 }
 
 // nodeView is the cached per-node read view. Invalidation keeps the
@@ -52,31 +60,45 @@ type nodeView struct {
 	outward   []Outward
 }
 
+// addView gives a joining node an (invalid) view slot. IDs are dense
+// and never reused, so the slot is normally the next one appended.
+func (o *Overlay) addView(id NodeID) {
+	for NodeID(len(o.views)) <= id {
+		o.views = append(o.views, nil)
+	}
+	o.views[id] = &nodeView{}
+}
+
+// view returns node id's view slot: nil for unknown, departed and
+// out-of-range IDs, which doubles as the liveness test of the view
+// readers.
+func (o *Overlay) view(id NodeID) *nodeView {
+	if id < 0 || id >= NodeID(len(o.views)) {
+		return nil
+	}
+	return o.views[id]
+}
+
 // invalidateView marks node id's cached view stale. Cheap and
 // idempotent; called from every adjacency or zone mutation.
 func (o *Overlay) invalidateView(id NodeID) {
-	if v := o.views[id]; v != nil {
+	if v := o.view(id); v != nil {
 		v.valid = false
 	}
 }
 
 // dropView discards node id's cached view entirely (node removal).
 func (o *Overlay) dropView(id NodeID) {
-	delete(o.views, id)
+	if o.view(id) != nil {
+		o.views[id] = nil
+	}
 }
 
 // viewOf returns node id's up-to-date cached view, rebuilding it lazily
-// if a mutation invalidated it. id must be live.
+// if a mutation invalidated it, or nil when id is not live.
 func (o *Overlay) viewOf(id NodeID) *nodeView {
-	v := o.views[id]
-	if v == nil {
-		v = &nodeView{}
-		if o.views == nil {
-			o.views = make(map[NodeID]*nodeView)
-		}
-		o.views[id] = v
-	}
-	if !v.valid {
+	v := o.view(id)
+	if v != nil && !v.valid {
 		o.buildView(id, v)
 	}
 	return v
@@ -92,9 +114,9 @@ func (o *Overlay) buildView(id NodeID, v *nodeView) {
 	sort.Slice(v.neighbors, func(i, j int) bool { return v.neighbors[i].ID < v.neighbors[j].ID })
 	n := o.nodes[id]
 	v.outward = v.outward[:0]
-	for _, nb := range v.neighbors {
+	for i, nb := range v.neighbors {
 		if dim, dir, ok := n.Zone.Abuts(nb.Zone); ok && dir > 0 {
-			v.outward = append(v.outward, Outward{Node: nb, Dim: dim})
+			v.outward = append(v.outward, Outward{Node: nb, Dim: int32(dim), Pos: int32(i)})
 		}
 	}
 	v.valid = true
@@ -107,8 +129,8 @@ func (o *Overlay) buildView(id NodeID, v *nodeView) {
 // overlapping node sets concurrently. Parallel oracle sweeps run this
 // warm pass serially first for exactly that guarantee.
 func (o *Overlay) WarmViews() {
-	for id := range o.nodes {
-		o.viewOf(id)
+	for id := range o.views {
+		o.viewOf(NodeID(id))
 	}
 }
 
@@ -117,10 +139,10 @@ func (o *Overlay) WarmViews() {
 // allocation and sort. The slice must not be modified and is valid
 // until the next Join or Leave.
 func (o *Overlay) NeighborView(id NodeID) []*Node {
-	if o.nodes[id] == nil {
-		return nil
+	if v := o.viewOf(id); v != nil {
+		return v.neighbors
 	}
-	return o.viewOf(id).neighbors
+	return nil
 }
 
 // OutwardView returns the cached (neighbor, dim) pairs where the
@@ -128,8 +150,8 @@ func (o *Overlay) NeighborView(id NodeID) []*Node {
 // of the matchmaking walk. Pairs appear in neighbor-ID order. The slice
 // must not be modified and is valid until the next Join or Leave.
 func (o *Overlay) OutwardView(id NodeID) []Outward {
-	if o.nodes[id] == nil {
-		return nil
+	if v := o.viewOf(id); v != nil {
+		return v.outward
 	}
-	return o.viewOf(id).outward
+	return nil
 }

@@ -47,7 +47,7 @@ func TestOutwardViewSemantics(t *testing.T) {
 		}
 		for _, ow := range o.OutwardView(n.ID) {
 			dim, dir, ok := n.Zone.Abuts(ow.Node.Zone)
-			if !ok || dir <= 0 || dim != ow.Dim {
+			if !ok || dir <= 0 || dim != int(ow.Dim) {
 				t.Fatalf("node %d: outward pair (%d, dim %d) invalid (abuts dim %d dir %d ok %v)",
 					n.ID, ow.Node.ID, ow.Dim, dim, dir, ok)
 			}
@@ -140,10 +140,16 @@ func TestChurnCacheConsistency(t *testing.T) {
 				}
 			}
 			// Touch the caches the way the schedulers do, so stale
-			// entries would be materialized before validation.
+			// entries would be materialized before validation, and check
+			// every outward pair's Pos indexes its neighbor in the view.
 			for _, id := range live {
-				_ = o.NeighborView(id)
-				_ = o.OutwardView(id)
+				view := o.NeighborView(id)
+				for _, ow := range o.OutwardView(id) {
+					if int(ow.Pos) >= len(view) || view[ow.Pos] != ow.Node {
+						t.Fatalf("seed %d step %d: node %d outward pair to %d has Pos %d outside its view slot",
+							seed, step, id, ow.Node.ID, ow.Pos)
+					}
+				}
 			}
 			nodes := o.Nodes()
 			if len(nodes) > 1 {

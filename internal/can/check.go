@@ -220,7 +220,16 @@ func (o *Overlay) validateCaches() error {
 		return err
 	}
 
-	for id, v := range o.views {
+	for id := range o.nodes {
+		if o.view(id) == nil {
+			return fmt.Errorf("live node %d has no view slot", id)
+		}
+	}
+	for i, v := range o.views {
+		id := NodeID(i)
+		if v == nil {
+			continue
+		}
 		if o.nodes[id] == nil {
 			return fmt.Errorf("cached view for dead node %d", id)
 		}
@@ -249,7 +258,8 @@ func (o *Overlay) validateCaches() error {
 				return fmt.Errorf("node %d: cached neighbor %d no longer abuts", id, nb.ID)
 			}
 			if dir > 0 {
-				if wantOut >= len(v.outward) || v.outward[wantOut].Node != nb || v.outward[wantOut].Dim != dim {
+				if wantOut >= len(v.outward) || v.outward[wantOut].Node != nb ||
+					v.outward[wantOut].Dim != int32(dim) || v.outward[wantOut].Pos != int32(i) {
 					return fmt.Errorf("node %d: cached outward pairs disagree with Abuts at neighbor %d", id, nb.ID)
 				}
 				wantOut++

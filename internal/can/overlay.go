@@ -107,7 +107,7 @@ type Overlay struct {
 	// membership snapshot served by Nodes(). Once built, the snapshot is
 	// maintained by delta — appended on join, spliced on leave — so it
 	// never needs an O(n log n) rebuild (snapJoin/snapLeave).
-	views       map[NodeID]*nodeView
+	views       []*nodeView // indexed by NodeID; nil once departed
 	snap        []*Node
 	snapVersion uint64
 	snapValid   bool
@@ -134,7 +134,6 @@ func NewOverlay(dims int) *Overlay {
 		dims:      dims,
 		nodes:     make(map[NodeID]*Node),
 		neighbors: make(map[NodeID]map[NodeID]struct{}),
-		views:     make(map[NodeID]*nodeView),
 	}
 }
 
@@ -240,6 +239,7 @@ func (o *Overlay) Join(p geom.Point, caps *resource.NodeCaps) (*Node, error) {
 		o.nextID++
 		o.nodes[n.ID] = n
 		o.neighbors[n.ID] = make(map[NodeID]struct{})
+		o.addView(n.ID)
 		o.joins++
 		o.snapJoin(n)
 		o.recordChurn(ChurnEvent{Joined: n.ID, Left: NoneID, ZoneChanged: [2]NodeID{NoneID, NoneID}})
@@ -274,6 +274,7 @@ func (o *Overlay) Join(p geom.Point, caps *resource.NodeCaps) (*Node, error) {
 	o.nextID++
 	o.nodes[n.ID] = n
 	o.neighbors[n.ID] = make(map[NodeID]struct{})
+	o.addView(n.ID)
 	o.rewireAfterJoin(owner, n)
 	o.joins++
 	o.snapJoin(n)

@@ -62,18 +62,7 @@ func (o *Overlay) RouteAppend(path []*Node, from NodeID, target geom.Point) ([]*
 	maxHops := 10*len(o.nodes) + 10
 	for !cur.Zone.Contains(target) {
 		curDist := zoneDistance(cur.Zone, target)
-		var next *Node
-		bestDist := math.Inf(1)
-		for _, nb := range o.NeighborView(cur.ID) {
-			if nb.Zone.Contains(target) {
-				next, bestDist = nb, 0
-				break
-			}
-			d := zoneDistance(nb.Zone, target)
-			if d < bestDist {
-				bestDist, next = d, nb
-			}
-		}
+		next, bestDist := o.closestNeighbor(cur.ID, target)
 		if next == nil || bestDist >= curDist {
 			return path, fmt.Errorf("can: routing stuck at node %d (dist %g): adjacency violated", cur.ID, curDist)
 		}
@@ -84,4 +73,54 @@ func (o *Overlay) RouteAppend(path []*Node, from NodeID, target geom.Point) ([]*
 		}
 	}
 	return path, nil
+}
+
+// closestNeighbor picks one greedy routing hop from node id toward p:
+// the first neighbor in ID order whose zone contains p, else the first
+// neighbor at the strictly smallest zoneDistance. It returns nil when
+// every neighbor is at infinite distance.
+//
+// The result is exactly that of testing Contains and then zoneDistance
+// on every neighbor, at a fraction of the cost:
+//
+//   - Containment falls out of the distance loop: a zone contains p
+//     exactly when no dimension contributes a gap.
+//   - A neighbor is abandoned as soon as its partial squared-gap sum
+//     reaches the best full sum so far. Float addition of non-negative
+//     terms never decreases a sum and math.Sqrt is monotone, so its
+//     distance could not have been strictly smaller than the best.
+//   - Survivors are still compared as sqrt(sum) < bestDist. Distinct
+//     sums can share a square root, so comparing the sums themselves
+//     would break the first-wins tie rule.
+func (o *Overlay) closestNeighbor(id NodeID, p geom.Point) (*Node, float64) {
+	var best *Node
+	bestDist, bestSum := math.Inf(1), math.Inf(1)
+neighbors:
+	for _, nb := range o.NeighborView(id) {
+		lo, hi := nb.Zone.Lo[:len(p)], nb.Zone.Hi[:len(p)]
+		sum, outside := 0.0, false
+		for i, x := range p {
+			var gap float64
+			switch {
+			case x < lo[i]:
+				gap = lo[i] - x
+			case x >= hi[i]:
+				gap = x - hi[i] + boundaryEps
+			default:
+				continue
+			}
+			outside = true
+			sum += gap * gap
+			if sum >= bestSum {
+				continue neighbors
+			}
+		}
+		if !outside {
+			return nb, 0
+		}
+		if d := math.Sqrt(sum); d < bestDist {
+			best, bestDist, bestSum = nb, d, sum
+		}
+	}
+	return best, bestDist
 }

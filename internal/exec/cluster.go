@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/perf"
@@ -30,9 +29,12 @@ func DefaultConfig() Config { return Config{Gamma: 0.3} }
 // Cluster owns the runtime state of every grid node and drives job
 // execution through the event engine.
 type Cluster struct {
-	eng   *sim.Engine
-	cfg   Config
-	nodes map[can.NodeID]*Runtime
+	eng *sim.Engine
+	cfg Config
+	// nodes is indexed by node ID: overlay IDs are sequential,
+	// non-negative and never reused, so the slice stays dense and a
+	// lookup is a bounds check and a load. Removed nodes leave nil.
+	nodes []*Runtime
 
 	// OnStart, when non-nil, is called as each job begins executing.
 	OnStart func(*Job)
@@ -176,14 +178,20 @@ func (c *Cluster) DrainMembership(fn func(ev MembershipEvent)) bool {
 
 // NewCluster creates an empty cluster on the engine.
 func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
-	return &Cluster{eng: eng, cfg: cfg, nodes: make(map[can.NodeID]*Runtime), allDirty: true, memAll: true}
+	return &Cluster{eng: eng, cfg: cfg, allDirty: true, memAll: true}
 }
 
-// AddNode registers a node's capabilities. It panics on duplicate ids —
-// that is a programming error in the driver.
+// AddNode registers a node's capabilities. It panics on duplicate or
+// negative ids — that is a programming error in the driver.
 func (c *Cluster) AddNode(id can.NodeID, caps *resource.NodeCaps) *Runtime {
-	if c.nodes[id] != nil {
+	if id < 0 {
+		panic(fmt.Sprintf("exec: negative node id %d", id))
+	}
+	if c.Runtime(id) != nil {
 		panic(fmt.Sprintf("exec: duplicate node %d", id))
+	}
+	for can.NodeID(len(c.nodes)) <= id {
+		c.nodes = append(c.nodes, nil)
 	}
 	r := newRuntime(id, caps)
 	c.nodes[id] = r
@@ -192,17 +200,24 @@ func (c *Cluster) AddNode(id can.NodeID, caps *resource.NodeCaps) *Runtime {
 	return r
 }
 
-// Runtime returns the runtime state of a node, or nil.
-func (c *Cluster) Runtime(id can.NodeID) *Runtime { return c.nodes[id] }
+// Runtime returns the runtime state of a node, or nil for unknown,
+// removed and out-of-range ids.
+func (c *Cluster) Runtime(id can.NodeID) *Runtime {
+	if id < 0 || id >= can.NodeID(len(c.nodes)) {
+		return nil
+	}
+	return c.nodes[id]
+}
 
 // Runtimes returns every node's runtime state sorted by id. It is meant
 // for index seeding and diagnostics, not hot paths — it allocates.
 func (c *Cluster) Runtimes() []*Runtime {
 	out := make([]*Runtime, 0, len(c.nodes))
 	for _, r := range c.nodes {
-		out = append(out, r)
+		if r != nil {
+			out = append(out, r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -217,6 +232,9 @@ func (c *Cluster) Finished() int { return c.finished }
 // hot paths.
 func (c *Cluster) Totals() (queued, running int) {
 	for _, r := range c.nodes {
+		if r == nil {
+			continue
+		}
 		queued += len(r.queue)
 		running += len(r.run)
 	}
@@ -241,7 +259,7 @@ func (c *Cluster) CheckConservation() error {
 // matchmaking). The job may start immediately if the queue is empty and
 // its CEs are available.
 func (c *Cluster) Submit(j *Job, node can.NodeID) error {
-	r := c.nodes[node]
+	r := c.Runtime(node)
 	if r == nil {
 		return fmt.Errorf("exec: submit to unknown node %d", node)
 	}
@@ -330,11 +348,11 @@ func (c *Cluster) refreshRates(r *Runtime, now sim.Time) {
 // Running jobs lose their progress — a desktop grid restarts preempted
 // work from scratch.
 func (c *Cluster) RemoveNode(id can.NodeID) []*Job {
-	r := c.nodes[id]
+	r := c.Runtime(id)
 	if r == nil {
 		return nil
 	}
-	delete(c.nodes, id)
+	c.nodes[id] = nil
 	var orphans []*Job
 	// release mutates the running set in place, so drain it from the
 	// front rather than ranging over it.

@@ -450,3 +450,50 @@ func TestBusyCoreSecondsAccumulates(t *testing.T) {
 		t.Fatalf("BusyCoreSeconds = %v, want 150", got)
 	}
 }
+
+// TestRuntimeUnknownIDs pins the dense runtime index's edges: IDs never
+// added, removed, beyond the highest ID seen, and negative all read as
+// nil, and Runtimes lists only live nodes in ID order.
+func TestRuntimeUnknownIDs(t *testing.T) {
+	_, c := newTestCluster(0)
+	c.AddNode(2, testCaps(1.0, 4))
+	c.AddNode(5, testCaps(1.0, 4))
+	c.AddNode(7, testCaps(1.0, 4))
+	c.RemoveNode(5)
+	for _, tc := range []struct {
+		name string
+		id   can.NodeID
+		live bool
+	}{
+		{"live", 2, true},
+		{"live highest", 7, true},
+		{"never added below a live id", 1, false},
+		{"never added between live ids", 3, false},
+		{"removed", 5, false},
+		{"beyond range", 8, false},
+		{"far beyond range", 1 << 40, false},
+		{"negative", -1, false},
+	} {
+		r := c.Runtime(tc.id)
+		if tc.live && (r == nil || r.ID != tc.id) {
+			t.Errorf("%s: Runtime(%d) = %v, want the live runtime", tc.name, tc.id, r)
+		}
+		if !tc.live && r != nil {
+			t.Errorf("%s: Runtime(%d) = node %d, want nil", tc.name, tc.id, r.ID)
+		}
+	}
+	if got := c.RemoveNode(5); got != nil {
+		t.Fatalf("second RemoveNode(5) = %v, want nil", got)
+	}
+	rs := c.Runtimes()
+	if len(rs) != 2 || rs[0].ID != 2 || rs[1].ID != 7 {
+		t.Fatalf("Runtimes() = %v, want nodes 2 and 7", rs)
+	}
+	if err := c.Submit(cpuJob(1, 1, sim.Second), 5); err == nil {
+		t.Fatal("Submit to a removed node succeeded")
+	}
+	// A removed id can be registered again.
+	if r := c.AddNode(5, testCaps(1.0, 4)); c.Runtime(5) != r {
+		t.Fatal("re-added node 5 not returned by Runtime")
+	}
+}

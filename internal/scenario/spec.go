@@ -150,13 +150,13 @@ func Load(src string) (*Spec, error) {
 	top := d.mapping(root, "scenario")
 
 	spec := &Spec{
-		Name:     d.str(top, "name", ""),
-		Seed:     d.int64(top, "seed", 1),
-		Duration: d.dur(top, "duration", 0),
-		Engine:   d.str(top, "engine", "serial"),
-		Shards:   d.count(top, "shards", 0),
-		Workers:  d.count(top, "workers", 0),
-		Window:   d.str(top, "window", ""),
+		Name:      d.str(top, "name", ""),
+		Seed:      d.int64(top, "seed", 1),
+		Duration:  d.dur(top, "duration", 0),
+		Engine:    d.str(top, "engine", "serial"),
+		Shards:    d.count(top, "shards", 0),
+		Workers:   d.count(top, "workers", 0),
+		Window:    d.str(top, "window", ""),
 		Admission: d.str(top, "admission", ""),
 	}
 

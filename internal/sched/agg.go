@@ -89,6 +89,37 @@ type AggStats struct {
 // pass and is bounded only by the journal's adaptive retained window.
 const maxSpliceEvents = 256
 
+// nodeIndex maps node IDs to membership indexes. Overlay IDs are
+// sequential, non-negative and never reused, so a slice indexed by ID
+// stays dense and a lookup is a bounds check and a load. Entries hold
+// index+1, so the zero value means "not tracked" and clear resets the
+// whole index.
+type nodeIndex []int32
+
+// get returns id's index, or ok=false for untracked and out-of-range IDs.
+func (x nodeIndex) get(id can.NodeID) (i int32, ok bool) {
+	if id < 0 || id >= can.NodeID(len(x)) {
+		return 0, false
+	}
+	v := x[id]
+	return v - 1, v != 0
+}
+
+// set records index i for id, growing the index to cover it.
+func (x *nodeIndex) set(id can.NodeID, i int32) {
+	for can.NodeID(len(*x)) <= id {
+		*x = append(*x, 0)
+	}
+	(*x)[id] = i + 1
+}
+
+// del forgets id.
+func (x nodeIndex) del(id can.NodeID) {
+	if id >= 0 && id < can.NodeID(len(x)) {
+		x[id] = 0
+	}
+}
+
 // AggTable holds, for every node and dimension, the aggregated load
 // information over the outer region. In the real system this data rides
 // on heartbeats, one hop per period; the simulator recomputes it exactly
@@ -118,8 +149,9 @@ const maxSpliceEvents = 256
 // an epoch, and At fills a row from the Fenwick trees (one binary
 // search for the region cut plus one O(log n) prefix query) the first
 // time it is read in an epoch. The placement walk touches a handful of
-// rows per job, so reads keep their O(1) amortized map-lookup profile
-// and a steady-state refresh-plus-reads cycle allocates nothing.
+// rows per job, so a read is an ID-indexed slice load plus, at most
+// once per epoch, that fill; a steady-state refresh-plus-reads cycle
+// allocates nothing.
 //
 // All sums are exact: loads are integer-valued float64s, far below the
 // 2^53 exactness horizon, so every Fenwick tree node, every delta and
@@ -140,11 +172,11 @@ type AggTable struct {
 	// pre-churn membership to interpret each journal event against.
 	ov      *can.Overlay
 	version uint64
-	nodes   []*can.Node          // owned membership copy, unordered after splices
-	order   [][]int              // per dim: node indexes sorted by (Zone.Lo[d], ID)
-	los     [][]float64          // per dim: the sorted zone starts
-	idx     map[can.NodeID]int32 // node ID → index into nodes
-	pos     [][]int32            // per dim: sorted position of node i at pos[d][i]
+	nodes   []*can.Node // owned membership copy, unordered after splices
+	order   [][]int     // per dim: node indexes sorted by (Zone.Lo[d], ID)
+	los     [][]float64 // per dim: the sorted zone starts
+	idx     nodeIndex   // node ID → index into nodes
+	pos     [][]int32   // per dim: sorted position of node i at pos[d][i]
 
 	// Load state, incrementally maintained between full rebuilds.
 	loads []CELoad   // n×ntypes current per-node loads
@@ -167,11 +199,11 @@ type AggTable struct {
 	changed   bool                 // a drained delta was nonzero (epoch must advance)
 
 	// Carry-over state for the full-rebuild fallback (rebuildDelta): the
-	// previous generation's id→index map and load rows, double-buffered
+	// previous generation's id→index table and load rows, double-buffered
 	// with idx/loads across rebuilds so surviving nodes' loads can be
 	// copied instead of re-queried, plus the drained stale-node set that
 	// says which survivors must be re-queried anyway.
-	prevIdx   map[can.NodeID]int32
+	prevIdx   nodeIndex
 	prevLoads []CELoad
 	staleSet  map[can.NodeID]struct{}
 
@@ -188,7 +220,7 @@ type AggTable struct {
 // NewAggTable creates an empty table for a d-dimensional CAN with CE
 // types 0..gpuSlots.
 func NewAggTable(dims int, gpuSlots int) *AggTable {
-	a := &AggTable{dims: dims, ntypes: gpuSlots + 1, idx: make(map[can.NodeID]int32)}
+	a := &AggTable{dims: dims, ntypes: gpuSlots + 1}
 	a.onDirty = a.applyDirty
 	a.onChurn = a.applyChurn
 	a.onCollect = a.collectChurn
@@ -211,7 +243,7 @@ func (a *AggTable) Stats() AggStats { return a.stats }
 // new epoch's values. Callers must consume the row (or copy it) before
 // the next refresh; TestAggAtAliasing pins this contract.
 func (a *AggTable) At(id can.NodeID, dim int) DimAgg {
-	i, ok := a.idx[id]
+	i, ok := a.idx.get(id)
 	if !ok || dim < 0 || dim >= a.dims {
 		return DimAgg{}
 	}
@@ -259,7 +291,7 @@ func grow[T any](s []T, n int) []T {
 
 // rebuildTopology re-sorts the per-dimension orders after churn and
 // derives everything that depends on membership alone: the owned node
-// copy, the id→index map and each node's sorted position per dimension.
+// copy, the id→index table and each node's sorted position per dimension.
 // Ties on the (tie-prone, float-valued) zone starts break by node ID,
 // the same discipline as can/bounded.go, so the permutation is a pure
 // function of the overlay state rather than of sort.Slice's unstable
@@ -279,7 +311,7 @@ func (a *AggTable) rebuildTopology(ov *can.Overlay) {
 	}
 	clear(a.idx)
 	for i, nd := range nodes {
-		a.idx[nd.ID] = int32(i)
+		a.idx.set(nd.ID, int32(i))
 	}
 	for d := 0; d < a.dims; d++ {
 		idx := grow(a.order[d], n)
@@ -377,7 +409,7 @@ func (a *AggTable) rebuildDelta(cl *exec.Cluster) {
 	}
 	for i, nd := range nodes {
 		row := a.loads[i*nt : (i+1)*nt]
-		if oi, ok := a.prevIdx[nd.ID]; ok {
+		if oi, ok := a.prevIdx.get(nd.ID); ok {
 			if _, stale := a.staleSet[nd.ID]; !stale {
 				copy(row, a.prevLoads[int(oi)*nt:(int(oi)+1)*nt])
 				a.stats.CarriedLoads++
@@ -412,7 +444,7 @@ func (a *AggTable) rebuildDelta(cl *exec.Cluster) {
 // rebuildFull is Refresh's fallback when the churn journal cannot
 // cover the membership gap. It drains the dirty set first (the old
 // path discarded it after the sweep; the new one needs its contents),
-// swaps the current id→index map and load rows into the prev buffers,
+// swaps the current id→index table and load rows into the prev buffers,
 // re-sorts the topology, and then rebuilds loads — carrying unchanged
 // survivors' rows over (rebuildDelta) when the dirty set enumerated
 // and the table has prior state for this overlay, re-querying every
@@ -425,9 +457,6 @@ func (a *AggTable) rebuildFull(ov *can.Overlay, cl *exec.Cluster) {
 	// Swap the generations: prevIdx/prevLoads hold the pre-rebuild
 	// mapping; rebuildTopology clears and refills the other buffer.
 	a.idx, a.prevIdx = a.prevIdx, a.idx
-	if a.idx == nil {
-		a.idx = make(map[can.NodeID]int32)
-	}
 	a.loads, a.prevLoads = a.prevLoads, a.loads
 
 	a.rebuildTopology(ov)
@@ -473,7 +502,7 @@ func (a *AggTable) applyDirty(id can.NodeID) {
 	a.stats.LastDirty++
 	a.stats.DirtyDrained++
 	cntAggDirty.Inc()
-	i, ok := a.idx[id]
+	i, ok := a.idx.get(id)
 	if !ok {
 		// Not in the tracked membership: either removed from the cluster
 		// (the matching overlay leave was spliced or will force a
@@ -535,11 +564,11 @@ func (a *AggTable) applyChurn(ev can.ChurnEvent) {
 
 // spliceOut removes a departed node: its load leaves the totals, its
 // entry leaves every per-dimension order, and the membership arrays
-// swap-delete (the moved last node's index map and order entries are
+// swap-delete (the moved last node's index entry and order entries are
 // patched). The per-dimension arrays stay ID-tie-sorted because only
 // the departed entry is removed; everything else keeps its key.
 func (a *AggTable) spliceOut(id can.NodeID) {
-	i32, ok := a.idx[id]
+	i32, ok := a.idx.get(id)
 	if !ok {
 		return // joined and left within the same delta window; never inserted
 	}
@@ -557,7 +586,7 @@ func (a *AggTable) spliceOut(id can.NodeID) {
 		moved := a.nodes[last]
 		a.nodes[i] = moved
 		copy(row, a.loads[last*nt:(last+1)*nt])
-		a.idx[moved.ID] = int32(i)
+		a.idx.set(moved.ID, int32(i))
 		for d := 0; d < a.dims; d++ {
 			p := a.pos[d][last]
 			a.pos[d][i] = p
@@ -570,7 +599,7 @@ func (a *AggTable) spliceOut(id can.NodeID) {
 	for d := 0; d < a.dims; d++ {
 		a.pos[d] = a.pos[d][:last]
 	}
-	delete(a.idx, id)
+	a.idx.del(id)
 }
 
 // spliceIn admits a joined node: appended to the membership arrays,
@@ -580,7 +609,7 @@ func (a *AggTable) spliceOut(id can.NodeID) {
 // notification for the same node drained later in this refresh nets to
 // a zero delta — exactness is preserved either way.
 func (a *AggTable) spliceIn(id can.NodeID) {
-	if _, dup := a.idx[id]; dup {
+	if _, dup := a.idx.get(id); dup {
 		return
 	}
 	nd := a.ov.Node(id)
@@ -590,7 +619,7 @@ func (a *AggTable) spliceIn(id can.NodeID) {
 	i := len(a.nodes)
 	nt := a.ntypes
 	a.nodes = append(a.nodes, nd)
-	a.idx[id] = int32(i)
+	a.idx.set(id, int32(i))
 	rt := a.cl.Runtime(id)
 	for t := 0; t < nt; t++ {
 		var nl CELoad
@@ -615,7 +644,7 @@ func (a *AggTable) spliceIn(id can.NodeID) {
 // their position (the key is unchanged, so the sorted invariant
 // already holds).
 func (a *AggTable) reposition(id can.NodeID) {
-	i32, ok := a.idx[id]
+	i32, ok := a.idx.get(id)
 	if !ok {
 		return // join was skipped (node already gone) — nothing tracked
 	}
@@ -735,13 +764,13 @@ func (a *AggTable) batchSplice(ov *can.Overlay, cl *exec.Cluster) bool {
 		remap[i] = 0
 	}
 	for _, id := range a.batchIDs {
-		if i, ok := a.idx[id]; ok {
+		if i, ok := a.idx.get(id); ok {
 			remap[i] = -1
 			row := a.loads[int(i)*nt : (int(i)+1)*nt]
 			for t := 0; t < nt; t++ {
 				a.tot[t] = a.tot[t].sub(row[t])
 			}
-			delete(a.idx, id)
+			a.idx.del(id)
 		}
 	}
 	a.remapBuf = remap
@@ -754,7 +783,7 @@ func (a *AggTable) batchSplice(ov *can.Overlay, cl *exec.Cluster) bool {
 		if w != i {
 			nodes[w] = nodes[i]
 			copy(a.loads[w*nt:(w+1)*nt], a.loads[i*nt:(i+1)*nt])
-			a.idx[nodes[w].ID] = int32(w)
+			a.idx.set(nodes[w].ID, int32(w))
 		}
 		w++
 	}
@@ -770,7 +799,7 @@ func (a *AggTable) batchSplice(ov *can.Overlay, cl *exec.Cluster) bool {
 		}
 		i := len(a.nodes)
 		a.nodes = append(a.nodes, nd)
-		a.idx[id] = int32(i)
+		a.idx.set(id, int32(i))
 		rt := cl.Runtime(id)
 		for t := 0; t < nt; t++ {
 			var nl CELoad

@@ -140,6 +140,58 @@ func TestAggRefreshReuseAcrossChurn(t *testing.T) {
 	}
 }
 
+// TestAggAtUnknownIDs pins the dense id index's edges: a departed node,
+// a node that joined after the last refresh, IDs beyond any ever issued
+// and negative IDs all read as the empty aggregate, whether the table
+// last refreshed by splice or by full rebuild, and before any refresh.
+func TestAggAtUnknownIDs(t *testing.T) {
+	ov, cl, _ := buildTiedGrid(t, 2, 4)
+	empty := func(a DimAgg) bool { return a.Nodes == 0 && a.ByType == nil }
+	cold := NewAggTable(2, 0)
+	if a := cold.At(ov.Nodes()[0].ID, 0); !empty(a) {
+		t.Fatalf("unrefreshed table: At = %+v, want empty", a)
+	}
+	spliced := NewAggTable(2, 0)
+	spliced.Refresh(ov, cl)
+	victim := ov.Nodes()[5].ID
+	cl.RemoveNode(victim)
+	if _, err := ov.Leave(victim); err != nil {
+		t.Fatal(err)
+	}
+	spliced.Refresh(ov, cl)
+	rebuilt := NewAggTable(2, 0)
+	rebuilt.RefreshFull(ov, cl)
+	// A node that joins after both refreshes is unseen by both tables.
+	caps := &resource.NodeCaps{CEs: []resource.CE{{Type: resource.TypeCPU, Clock: 1, Cores: 2}}, Disk: 100}
+	late, err := ov.Join(geom.Point{0.3, 0.3}, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.AddNode(late.ID, caps)
+	live := ov.Nodes()[0].ID
+	for name, a := range map[string]*AggTable{"spliced": spliced, "rebuilt": rebuilt} {
+		if got := a.At(live, 0); got.Nodes == 0 {
+			t.Fatalf("%s: live node %d reads empty", name, live)
+		}
+		for _, tc := range []struct {
+			what string
+			id   can.NodeID
+			dim  int
+		}{
+			{"departed", victim, 0},
+			{"never seen", late.ID, 1},
+			{"beyond range", 1 << 40, 0},
+			{"negative", -1, 0},
+			{"dim out of range", live, 2},
+			{"negative dim", live, -1},
+		} {
+			if got := a.At(tc.id, tc.dim); !empty(got) {
+				t.Errorf("%s: %s At(%d, %d) = %+v, want empty", name, tc.what, tc.id, tc.dim, got)
+			}
+		}
+	}
+}
+
 // TestAggRefreshSteadyStateAllocFree pins the tentpole optimization: a
 // steady-state refresh (no churn) must not allocate.
 func TestAggRefreshSteadyStateAllocFree(t *testing.T) {

@@ -27,8 +27,7 @@ func (s *CanHet) Name() string { return "can-het" }
 // Place runs Algorithm 1 for one job.
 func (s *CanHet) Place(j *exec.Job) (can.NodeID, error) {
 	c := s.ctx
-	c.maybeRefresh()
-	c.probeBegin(j)
+	c.beginPlacement(j)
 	entry := c.randomEntry()
 	if entry == nil {
 		c.probeUnmatched()
@@ -99,10 +98,10 @@ func (s *CanHet) Place(j *exec.Job) (can.NodeID, error) {
 		outs := c.outwardNeighbors(cur)
 		for i := range outs {
 			o := &outs[i]
-			if o.Node.Caps == nil || !resource.Satisfies(o.Node.Caps, j.Req) {
+			if !c.satMask[o.Pos] {
 				continue
 			}
-			obj := c.Agg.Objective(o.Node.ID, o.Dim, dom)
+			obj := c.Agg.Objective(o.Node.ID, int(o.Dim), dom)
 			if target == nil || obj < bestObj ||
 				(obj == bestObj && o.Node.ID < target.Node.ID) {
 				target, bestObj = o, obj
@@ -113,7 +112,7 @@ func (s *CanHet) Place(j *exec.Job) (can.NodeID, error) {
 		// beyond along the target dimension (Equation 4).
 		stop := target == nil
 		if !stop {
-			p := resource.StopProbability(c.Agg.At(cur.ID, target.Dim).Nodes, c.StoppingFactor)
+			p := resource.StopProbability(c.Agg.At(cur.ID, int(target.Dim)).Nodes, c.StoppingFactor)
 			stop = c.rnd.Bool(p)
 		}
 		if stop {

@@ -28,8 +28,7 @@ func (s *CanHom) Name() string { return "can-hom" }
 // Place performs the prior scheme's matchmaking for one job.
 func (s *CanHom) Place(j *exec.Job) (can.NodeID, error) {
 	c := s.ctx
-	c.maybeRefresh()
-	c.probeBegin(j)
+	c.beginPlacement(j)
 	entry := c.randomEntry()
 	if entry == nil {
 		c.probeUnmatched()
@@ -83,10 +82,10 @@ func (s *CanHom) Place(j *exec.Job) (can.NodeID, error) {
 		outs := c.outwardNeighbors(cur)
 		for i := range outs {
 			o := &outs[i]
-			if o.Node.Caps == nil || !resource.Satisfies(o.Node.Caps, j.Req) {
+			if !c.satMask[o.Pos] {
 				continue
 			}
-			obj := c.Agg.Objective(o.Node.ID, o.Dim, resource.TypeCPU)
+			obj := c.Agg.Objective(o.Node.ID, int(o.Dim), resource.TypeCPU)
 			if target == nil || obj < bestObj ||
 				(obj == bestObj && o.Node.ID < target.Node.ID) {
 				target, bestObj = o, obj
@@ -95,7 +94,7 @@ func (s *CanHom) Place(j *exec.Job) (can.NodeID, error) {
 
 		stop := target == nil
 		if !stop {
-			p := resource.StopProbability(c.Agg.At(cur.ID, target.Dim).Nodes, c.StoppingFactor)
+			p := resource.StopProbability(c.Agg.At(cur.ID, int(target.Dim)).Nodes, c.StoppingFactor)
 			stop = c.rnd.Bool(p)
 		}
 		if stop {

@@ -141,9 +141,12 @@ type Context struct {
 
 	// Per-placement scratch. A Context serves one placement at a time;
 	// these buffers are recycled across Place calls so a steady-state
-	// placement allocates nothing. satBuf is overwritten by each
-	// satisfying() call, so its result is valid only until the next hop.
+	// placement allocates nothing. satBuf and satMask describe satNode's
+	// neighborhood and are overwritten when satisfying() moves to another
+	// node, so they are valid only until the next hop.
 	satBuf      []*can.Node
+	satMask     []bool    // satMask[i]: NeighborView(satNode)[i] satisfies the job
+	satNode     *can.Node // node satBuf/satMask describe; nil at placement start
 	acceptBuf   []*can.Node
 	freeBuf     []*can.Node
 	fallbackBuf []*can.Node
@@ -166,6 +169,15 @@ func NewContext(eng *sim.Engine, ov *can.Overlay, cl *exec.Cluster, space *resou
 		RefreshPeriod:  60 * sim.Second,
 		rnd:            rng.NewSplit(seed, "sched"),
 	}
+}
+
+// beginPlacement opens one Place call: it refreshes the aggregate
+// table on its cadence, forgets the previous job's satisfying() result
+// and opens the probe span.
+func (c *Context) beginPlacement(j *exec.Job) {
+	c.maybeRefresh()
+	c.satNode = nil
+	c.probeBegin(j)
 }
 
 // maybeRefresh recomputes the aggregate table when a full refresh
@@ -229,20 +241,32 @@ func (c *Context) randomEntry() *can.Node {
 
 // satisfying filters cur and its neighbors down to nodes that statically
 // satisfy the job, returned in deterministic (ID) order with cur first
-// when it qualifies. The result aliases a per-Context scratch buffer and
-// is valid only until the next satisfying call; the neighborhood comes
-// from the overlay's cached view, so no scan or allocation happens here.
+// when it qualifies. It also records, per position in cur's
+// NeighborView, whether that neighbor satisfies (satMask), so the push
+// loops can test an Outward pair by its Pos instead of evaluating
+// Satisfies again. A repeated call for the same node within one
+// placement returns the recorded result (boost hands its last node to
+// the push walk, which rescans it). The result aliases per-Context
+// scratch and is valid only until satisfying moves to another node; the
+// neighborhood comes from the overlay's cached view, so no scan or
+// allocation happens here.
 func (c *Context) satisfying(cur *can.Node, req resource.JobReq) []*can.Node {
+	if cur == c.satNode {
+		return c.satBuf
+	}
 	out := c.satBuf[:0]
 	if cur.Caps != nil && resource.Satisfies(cur.Caps, req) {
 		out = append(out, cur)
 	}
+	mask := c.satMask[:0]
 	for _, nb := range c.Ov.NeighborView(cur.ID) {
-		if nb.Caps != nil && resource.Satisfies(nb.Caps, req) {
+		ok := nb.Caps != nil && resource.Satisfies(nb.Caps, req)
+		mask = append(mask, ok)
+		if ok {
 			out = append(out, nb)
 		}
 	}
-	c.satBuf = out
+	c.satBuf, c.satMask, c.satNode = out, mask, cur
 	return out
 }
 
