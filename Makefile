@@ -3,16 +3,17 @@
 #   make verify   — everything the CI gate runs: a gofmt check, build,
 #                   vet, race tests,
 #                   the end-to-end benchmark harness's own tests (bench/),
-#                   a 10 s fuzz smoke of the requirement-vector oracle and
-#                   the scenario loader, a short benchmark pass that
-#                   regenerates BENCH_14.json against the BENCH_13.json
+#                   a 10 s fuzz smoke of the requirement-vector oracle,
+#                   the scenario loader and the sharded engine's
+#                   determinism battery, a short benchmark pass that
+#                   regenerates BENCH_15.json against the BENCH_14.json
 #                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
 #                   and telemetry smoke runs that exercise the
 #                   metrics/trace exports — including the sharded
 #                   telemetry plane, the scenario metric checkpoints and
-#                   the fixed-vs-adaptive window-policy byte comparison.
+#                   the serial-vs-sharded scenario byte comparison.
 
 GO ?= go
 BENCHTMP ?= /tmp/hetgrid_bench
@@ -46,16 +47,19 @@ race:
 bench-harness:
 	$(GO) -C bench test ./...
 
-# fuzz-smoke runs two fuzz targets for 10 s each past their committed
+# fuzz-smoke runs three fuzz targets for 10 s each past their committed
 # seed corpora (which `go test` already replays): FuzzJobReq compares
-# the type-sorted CE requirement vector with its map-keyed oracle, and
+# the type-sorted CE requirement vector with its map-keyed oracle,
 # FuzzScenarioLoad feeds mutated scenario YAML through parse, decode and
-# validate, which must return errors, never panic.
+# validate, which must return errors, never panic, and
+# FuzzShardedDeterminism requires a random actor workload to report
+# byte-identically at every (S, W).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobReq$$' -fuzztime 10s ./internal/resource
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzShardedDeterminism$$' -fuzztime 10s ./internal/sim
 
-# bench regenerates BENCH_14.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_15.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks — placement, aggregation refresh and greedy CAN
 # routing at d=5 and d=11 (CANRoute) — run at 1000 so the overlay
@@ -67,7 +71,7 @@ fuzz-smoke:
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_13.json entries as baselines; the gate then fails the
+# embedding BENCH_14.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -86,15 +90,9 @@ fuzz-smoke:
 # the same parallelism (see cmd/benchjson). The sharded telemetry
 # overhead pair (metrics=off / metrics=on over the identical heartbeat
 # workload) also runs as two processes; its gated entries keep the
-# plane's barrier-merge cost from creeping. The batched-admission churn
+# plane's barrier-merge cost from creeping. The sharded churn-storm
 # pair (ChurnStormSharded W=1 / W=max) runs the same way: it prices
-# churn prep, barrier flushes and parallel completions, and gating it
-# keeps the serial ChurnStorm entry honest — batching must not creep
-# back into the serial path. The window-policy pair
-# (ShardedHeartbeatAdaptive, window=fixed / window=adaptive over the
-# identical heartbeat steady state) joins the two-process suites: its
-# fixed entry keeps the policy dispatch from taxing the fixed path and
-# its adaptive entry prices the wide-window machinery; the anchored
+# control-plane churn under sustained heartbeat traffic; the anchored
 # regex keeps the ungated 100k smoke variant out of the gate.
 bench:
 	$(GO) test -run '^$$' -bench 'Placement|PlaceSteadyState|AggRefresh$$|CANRoute$$' \
@@ -112,13 +110,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'ShardedHeartbeatMetricsOverhead' \
 		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_tele2.txt
 	$(GO) test -run '^$$' -bench 'ChurnStormSharded$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_batch1.txt
+		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_churn1.txt
 	$(GO) test -run '^$$' -bench 'ChurnStormSharded$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_batch2.txt
-	$(GO) test -run '^$$' -bench 'ShardedHeartbeatAdaptive$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_win1.txt
-	$(GO) test -run '^$$' -bench 'ShardedHeartbeatAdaptive$$' \
-		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_win2.txt
+		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_churn2.txt
 	$(GO) test -run '^$$' -bench 'Fig5InterArrival|Fig8Messages|HeartbeatRound|ChurnRound|WorkloadGen' \
 		-benchmem -benchtime 3x -count 3 . | tee $(BENCHTMP)_figs1.txt
 	$(GO) test -run '^$$' -bench 'Fig5InterArrival|Fig8Messages|HeartbeatRound|ChurnRound|WorkloadGen' \
@@ -127,9 +121,8 @@ bench:
 		$(BENCHTMP)_agg1.txt $(BENCHTMP)_agg2.txt \
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
-		$(BENCHTMP)_batch1.txt $(BENCHTMP)_batch2.txt \
-		$(BENCHTMP)_win1.txt $(BENCHTMP)_win2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 14 -prev BENCH_13.json -gate 15 -out BENCH_14.json
+		$(BENCHTMP)_churn1.txt $(BENCHTMP)_churn2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 15 -prev BENCH_14.json -gate 15 -out BENCH_15.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -145,13 +138,9 @@ bench-xl:
 # 100k-population churn-storm comparison (journal splice vs full
 # rebuild), and two sharded-core speedup pairs over identical 100k-node
 # workloads at one worker and at GOMAXPROCS — pure heartbeats
-# (ShardedHeartbeat100k) and heartbeats under sustained batched-
-# admission churn (ChurnStormSharded100k); each pair's W=1/W=max ns/op
-# ratio in the log is the engine's parallel speedup on this runner.
-# The window-policy smoke (ShardedHeartbeatAdaptive100k) runs the same
-# 100k heartbeat steady state under the fixed and adaptive policies:
-# its fixed/adaptive ns/op ratio is the widening's wall-clock win, and
-# it fails outright unless adaptive cuts the barrier count ≥ 10×.
+# (ShardedHeartbeat100k) and heartbeats under sustained churn
+# (ChurnStormSharded100k); each pair's W=1/W=max ns/op ratio in the
+# log is the engine's parallel speedup on this runner.
 # Ungated like bench-xl — single iterations are too noisy to gate, and
 # the 10k ChurnStorm entry in the BENCH_*.json gate already pins the
 # splice path's cost — but the run fails outright if the splice path
@@ -159,7 +148,7 @@ bench-xl:
 # the churn storm never injects a failure. The generous timeout is
 # headroom for slow shared runners.
 bench-xxl:
-	$(GO) test -run '^$$' -bench 'ScaleXXLLoadBalance|ChurnStormXXL|ShardedHeartbeat100k|ChurnStormSharded100k|ShardedHeartbeatAdaptive100k' \
+	$(GO) test -run '^$$' -bench 'ScaleXXLLoadBalance|ChurnStormXXL|ShardedHeartbeat100k|ChurnStormSharded100k' \
 		-benchtime 1x -count 1 -timeout 60m . | tee $(BENCHTMP)_xxl.txt
 
 # bench-xxxl is the million-node smoke — the regime the sharded core
@@ -204,11 +193,6 @@ metrics-smoke: build
 # the same treatment cross-engine: the churn-storm scenario runs under
 # -engine serial, -shards 1 and -shards 4 and all three reports must be
 # byte-identical (the engine key buys wall-clock only, never accuracy).
-# The window policy gets the same differential treatment: the
-# churn-storm scenario runs under -window fixed and -window adaptive
-# with telemetry export, and both the reports and the exported streams
-# must be byte-identical — widening a window buys wall-clock only,
-# never a different history (DESIGN.md §15).
 # It also tightens a metric checkpoint past what the run achieves and
 # requires the CLI to exit non-zero, proving checkpoints actually gate.
 # Reports land in $(ARTIFACTS)/ (uploaded by CI).
@@ -237,16 +221,6 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: sharded report not byte-identical to serial"; exit 1; }
 	@cmp $(ARTIFACTS)/churn_storm_s1.txt $(ARTIFACTS)/churn_storm_s4.txt \
 		|| { echo "scenario-smoke: S=1 and S=4 reports differ"; exit 1; }
-	$(GO) run ./cmd/hetgridsim run -window fixed -metrics $(ARTIFACTS)/churn_storm_wfixed.jsonl \
-		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_wfixed.txt
-	$(GO) run ./cmd/hetgridsim run -window adaptive -metrics $(ARTIFACTS)/churn_storm_wadaptive.jsonl \
-		examples/scenarios/churn_storm_sharded.yaml > $(ARTIFACTS)/churn_storm_wadaptive.txt
-	@cmp $(ARTIFACTS)/churn_storm_wfixed.txt $(ARTIFACTS)/churn_storm_wadaptive.txt \
-		|| { echo "scenario-smoke: fixed and adaptive window reports differ"; exit 1; }
-	@cmp $(ARTIFACTS)/churn_storm_wfixed.jsonl $(ARTIFACTS)/churn_storm_wadaptive.jsonl \
-		|| { echo "scenario-smoke: fixed and adaptive window telemetry differs"; exit 1; }
-	@cmp $(ARTIFACTS)/churn_storm_s4.txt $(ARTIFACTS)/churn_storm_wadaptive.txt \
-		|| { echo "scenario-smoke: adaptive window report diverged from serial-parity baseline"; exit 1; }
 	@sed 's/^    min: 36$$/    min: 40/' examples/scenarios/checkpointed_recovery.yaml \
 		> $(ARTIFACTS)/checkpoint_violated.yaml
 	@if $(GO) run ./cmd/hetgridsim run $(ARTIFACTS)/checkpoint_violated.yaml \
@@ -254,6 +228,6 @@ scenario-smoke: build
 		echo "scenario-smoke: violated checkpoint did not fail the run"; exit 1; fi
 	@grep -q 'below min 40' $(ARTIFACTS)/checkpoint_violated.txt \
 		|| { echo "scenario-smoke: checkpoint violation missing from report"; exit 1; }
-	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine + window-policy parity, checkpoint gate enforced)"
+	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine parity, checkpoint gate enforced)"
 
 verify: fmt-check build vet race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

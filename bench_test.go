@@ -926,112 +926,18 @@ func BenchmarkShardedHeartbeat100k(b *testing.B) {
 	})
 }
 
-// benchShardedHeartbeatPolicy is benchShardedHeartbeat under an
-// explicit window policy, reporting the engine's synchronization
-// structure over the timed window as custom metrics: windows/op is the
-// barrier count (serial sections at the outer loop) and hops/op the
-// lookahead-grained conservative windows executed inside them. Under
-// the fixed policy the two coincide; under the adaptive policy the
-// windows/op collapse IS the optimization — the event history, and so
-// hops/op, is byte-identical by the determinism contract. Returns the
-// mean barrier count per iteration so smoke harnesses can assert the
-// fixed/adaptive reduction ratio.
-func benchShardedHeartbeatPolicy(b *testing.B, nodes, shards, workers int, policy sim.WindowPolicy) float64 {
-	var windows, hops int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := proto.DefaultConfig(proto.Adaptive)
-		cfg.HeartbeatPeriod = 10 * sim.Second
-		cfg.Seed = int64(i + 1)
-		ss := proto.NewShardedSim(shards, workers, 3, cfg)
-		ss.SE.SetWindowPolicy(policy)
-		churn := proto.DefaultChurnConfig(nodes, 0)
-		churn.JoinGap = sim.Millisecond
-		churn.Seed = int64(i + 1)
-		d := proto.NewShardedChurnDriver(ss, churn)
-		d.Start()
-		ss.RunUntil(d.ChurnStart.Add(5 * sim.Second))
-		runtime.GC()
-		pre := ss.SE.WindowStats()
-		b.StartTimer()
-		ss.RunUntil(ss.SE.Now().Add(30 * sim.Second))
-		b.StopTimer()
-		post := ss.SE.WindowStats()
-		windows += post.Windows - pre.Windows
-		hops += post.Hops - pre.Hops
-		alive := ss.AliveHosts()
-		ss.Close()
-		if alive < nodes*9/10 {
-			b.Fatalf("population collapsed: %d of %d alive", alive, nodes)
-		}
-		b.StartTimer()
-	}
-	winPerOp := float64(windows) / float64(b.N)
-	b.ReportMetric(winPerOp, "windows/op")
-	b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
-	return winPerOp
-}
-
-// BenchmarkShardedHeartbeatAdaptive is the gated window-policy pair:
-// the identical modest-scale heartbeat steady-state workload under the
-// fixed and adaptive policies. The fixed entry keeps the policy
-// dispatch from taxing the PR-7 path; the adaptive entry prices the
-// wide-window machinery (generation double-buffering, hop flushes) and
-// its windows/op metric makes the barrier collapse visible in every
-// bench log. Entries carry GOMAXPROCS in BENCH_*.json and gate only
-// against baselines at the same parallelism.
-func BenchmarkShardedHeartbeatAdaptive(b *testing.B) {
-	const nodes, shards = 2000, 4
-	workers := runtime.GOMAXPROCS(0)
-	if workers > shards {
-		workers = shards
-	}
-	b.Run("window=fixed", func(b *testing.B) {
-		benchShardedHeartbeatPolicy(b, nodes, shards, workers, sim.WindowFixed)
-	})
-	b.Run("window=adaptive", func(b *testing.B) {
-		benchShardedHeartbeatPolicy(b, nodes, shards, workers, sim.WindowAdaptive)
-	})
-}
-
-// BenchmarkShardedHeartbeatAdaptive100k is the bench-xxl smoke for the
-// adaptive window policy at the scale the optimization targets: the
-// 100,000-node heartbeat steady state (S=8, W=GOMAXPROCS) under the
-// fixed and adaptive policies. The fixed/adaptive ns/op ratio in the
-// log is the wall-clock win; the run fails outright unless the
-// adaptive policy cuts the barrier count (windows/op) by at least 10×
-// — the acceptance bar ISSUE 10 sets for heartbeat-period widening
-// over latency-grained windows.
-func BenchmarkShardedHeartbeatAdaptive100k(b *testing.B) {
-	const shards = 8
-	workers := runtime.GOMAXPROCS(0)
-	var fixedWin, adaptWin float64
-	b.Run("window=fixed", func(b *testing.B) {
-		fixedWin = benchShardedHeartbeatPolicy(b, experiments.ScaleXXLNodes, shards, workers, sim.WindowFixed)
-	})
-	b.Run("window=adaptive", func(b *testing.B) {
-		adaptWin = benchShardedHeartbeatPolicy(b, experiments.ScaleXXLNodes, shards, workers, sim.WindowAdaptive)
-	})
-	if adaptWin <= 0 || fixedWin/adaptWin < 10 {
-		b.Fatalf("adaptive windows cut barriers only %.1f× (fixed %.0f → adaptive %.0f windows/op), want ≥ 10×",
-			fixedWin/adaptWin, fixedWin, adaptWin)
-	}
-}
-
 // benchChurnStormSharded measures the sharded core under sustained
-// churn with barrier-batched admission: the join storm and warmup run
-// untimed, then 30 virtual seconds of the full population heartbeating
-// WHILE the churn driver keeps injecting joins, leaves and silent
-// failures on the batch plane. Unlike benchShardedHeartbeat, the timed
-// window includes admission work — the component batched admission
-// moves off the serial control plane and onto the workers.
+// churn: the join storm and warmup run untimed, then 30 virtual seconds
+// of the full population heartbeating WHILE the churn driver keeps
+// injecting joins, leaves and silent failures on the control plane.
+// Unlike benchShardedHeartbeat, the timed window includes admission
+// work and the control-plane quiesces it costs.
 func benchChurnStormSharded(b *testing.B, nodes, shards, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := proto.DefaultConfig(proto.Adaptive)
 		cfg.HeartbeatPeriod = 10 * sim.Second
 		cfg.Seed = int64(i + 1)
-		cfg.BatchedAdmission = true
 		ss := proto.NewShardedSim(shards, workers, 3, cfg)
 		churn := proto.DefaultChurnConfig(nodes, 50*sim.Millisecond)
 		churn.JoinGap = sim.Millisecond
@@ -1057,11 +963,11 @@ func benchChurnStormSharded(b *testing.B, nodes, shards, workers int) {
 	}
 }
 
-// BenchmarkChurnStormSharded is the gated batched-admission pair: the
+// BenchmarkChurnStormSharded is the gated churn-storm pair: the
 // identical modest-scale churn-storm workload executed by one worker
 // and by all of them (S=4). Entries carry GOMAXPROCS in BENCH_*.json
 // and gate only against baselines at the same parallelism, so the pair
-// pins the batch plane's cost without judging parallel against serial.
+// pins the churn path's cost without judging parallel against serial.
 func BenchmarkChurnStormSharded(b *testing.B) {
 	const nodes, shards = 2000, 4
 	wmax := runtime.GOMAXPROCS(0)
@@ -1072,13 +978,11 @@ func BenchmarkChurnStormSharded(b *testing.B) {
 	b.Run("W=max", func(b *testing.B) { benchChurnStormSharded(b, nodes, shards, wmax) })
 }
 
-// BenchmarkChurnStormSharded100k is the bench-xxl speedup smoke for
-// barrier-batched admission: the 100,000-node churn storm (S=8, batched
-// admission on) at one worker and at GOMAXPROCS. The W=1 / W=max ns/op
-// ratio read off the bench-xxl log is the parallel speedup on exactly
-// the regime the paper cares about; the acceptance bar on runners with
-// GOMAXPROCS ≥ 4 is a ≥ 2× ratio, and on a single-core machine the two
-// entries simply coincide.
+// BenchmarkChurnStormSharded100k is the bench-xxl speedup smoke under
+// churn: the 100,000-node churn storm (S=8) at one worker and at
+// GOMAXPROCS. The W=1 / W=max ns/op ratio read off the bench-xxl log is
+// the parallel speedup on exactly the regime the paper cares about; on
+// a single-core machine the two entries simply coincide.
 func BenchmarkChurnStormSharded100k(b *testing.B) {
 	const shards = 8
 	b.Run("W=1", func(b *testing.B) {

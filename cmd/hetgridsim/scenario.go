@@ -46,8 +46,6 @@ func runScenarios(args []string) int {
 	engine := fs.String("engine", "", "override the spec's engine: serial or sharded")
 	shards := fs.Int("shards", 0, "override the spec's shard count (implies -engine sharded)")
 	workers := fs.Int("workers", 0, "override the spec's worker count, 0 = GOMAXPROCS (implies -engine sharded)")
-	window := fs.String("window", "", "override the spec's window policy: fixed or adaptive (implies -engine sharded)")
-	admission := fs.String("admission", "", "override the spec's admission mode: strict or batched (implies -engine sharded)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -55,18 +53,6 @@ func runScenarios(args []string) int {
 	case "", "serial", "sharded":
 	default:
 		fmt.Fprintf(os.Stderr, "hetgridsim run: unknown -engine %q (serial or sharded)\n", *engine)
-		return 2
-	}
-	switch *window {
-	case "", "fixed", "adaptive":
-	default:
-		fmt.Fprintf(os.Stderr, "hetgridsim run: unknown -window %q (fixed or adaptive)\n", *window)
-		return 2
-	}
-	switch *admission {
-	case "", "strict", "batched":
-	default:
-		fmt.Fprintf(os.Stderr, "hetgridsim run: unknown -admission %q (strict or batched)\n", *admission)
 		return 2
 	}
 	paths := fs.Args()
@@ -99,7 +85,7 @@ func runScenarios(args []string) int {
 		// when the spec does not; an explicit -engine always wins. The
 		// engines produce byte-identical reports, so an override changes
 		// wall-clock behavior only.
-		if *shards > 0 || *workers > 0 || *window != "" || *admission != "" {
+		if *shards > 0 || *workers > 0 {
 			spec.Engine = "sharded"
 		}
 		if *engine != "" {
@@ -110,12 +96,6 @@ func runScenarios(args []string) int {
 		}
 		if *workers > 0 {
 			spec.Workers = *workers
-		}
-		if *window != "" {
-			spec.Window = *window
-		}
-		if *admission != "" {
-			spec.Admission = *admission
 		}
 		res, err := scenario.RunSampled(spec, sim.FromSeconds(*metricsEvery))
 		if err != nil {

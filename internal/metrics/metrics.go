@@ -176,9 +176,10 @@ type Plane struct {
 
 	// Auxiliary registrations: sampled on every pass like the canonical
 	// ones, but excluded from Series/WriteJSONL/WriteCSV. They hold
-	// diagnostics whose values legitimately depend on execution knobs —
-	// window policy, shard count — and so must never enter the canonical
-	// stream, whose contract is byte-identity across those knobs.
+	// diagnostics whose values legitimately depend on the engine — the
+	// sharded core's window counters, which the serial engine lacks — and
+	// so must never enter the canonical stream, whose contract is
+	// byte-identity across engines.
 	auxSeries   []*Series
 	auxGauges   []gaugeReg
 	auxCounters []counterReg
@@ -231,9 +232,9 @@ func (p *Plane) newAuxSeries(name string) *Series {
 // RegisterAuxGauge adds a gauge to the auxiliary stream: sampled on the
 // same passes as canonical series but kept out of Series, WriteJSONL
 // and WriteCSV — export it via AuxSeries/WriteAuxJSONL. Use it for
-// diagnostics that depend on execution knobs (window policy, worker
-// count) and therefore must not perturb the byte-compared canonical
-// stream.
+// diagnostics that depend on the engine (window counters exist only on
+// the sharded core) and therefore must not perturb the byte-compared
+// canonical stream.
 func (p *Plane) RegisterAuxGauge(name string, fn GaugeFunc) {
 	p.auxGauges = append(p.auxGauges, gaugeReg{series: p.newAuxSeries(name), fn: fn})
 }

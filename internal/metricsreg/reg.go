@@ -211,23 +211,18 @@ func RegisterShardedNetCounters(sp *metrics.ShardedPlane, sn *netsim.ShardedNet,
 	}
 }
 
-// RegisterWindowAux registers the sharded engine's window-policy
+// RegisterWindowAux registers the sharded engine's synchronization
 // diagnostics as auxiliary series — sampled alongside the canonical
-// stream but exported separately (Plane.WriteAuxJSONL), because their
-// values depend on the window policy and shard count, execution knobs
-// the canonical byte-compared stream must never reflect:
+// stream but exported separately (Plane.WriteAuxJSONL), because the
+// serial engine has no windows and the canonical byte-compared stream
+// must be identical under either engine:
 //
-//	sim.windows      barrier groups entered per interval (the cost the
-//	                 adaptive policy collapses)
-//	sim.hops         lookahead-grained windows executed per interval
-//	                 (policy-invariant in steady state: the hop grid
-//	                 replicates the fixed window grid)
+//	sim.windows      conservative windows (barriers) per interval
 //	sim.quiesces     control-phase single-event quiesces per interval
-//	sim.window_span  mean virtual-time span per barrier group over the
-//	                 run so far, in seconds — the widening factor
+//	sim.window_span  mean virtual-time span per window over the run so
+//	                 far, in seconds
 func RegisterWindowAux(p *metrics.Plane, se *sim.ShardedEngine) {
 	p.RegisterAuxCounter("sim.windows", func() int64 { return se.WindowStats().Windows })
-	p.RegisterAuxCounter("sim.hops", func() int64 { return se.WindowStats().Hops })
 	p.RegisterAuxCounter("sim.quiesces", func() int64 { return se.WindowStats().Quiesces })
 	p.RegisterAuxGauge("sim.window_span", func(k *metrics.Sink) {
 		ws := se.WindowStats()

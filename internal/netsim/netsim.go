@@ -187,21 +187,6 @@ func (n *Net) countRecv(dst can.NodeID, size int, kind Kind) {
 // there (the control phase is single-threaded) and the merged totals
 // are sums, so attribution is unaffected.
 func (n *Net) Send(src, dst can.NodeID, size int, kind Kind, deliver func(now sim.Time)) {
-	n.SendAt(n.eng.Now(), src, dst, size, kind, deliver)
-}
-
-// SendAt is Send with an explicit transmission time instead of the
-// facet engine's clock. Barrier-context code (batched-admission
-// completions, batch-phase continuations) runs while shard clocks sit
-// at or before the window start, so the logical send time — the batch
-// event's own time — must be passed in rather than read from a clock
-// that is a partition-dependent distance behind. With sent ==
-// n.eng.Now() it is exactly Send. On a batched sharded facet the
-// delivery routes to the batch plane rather than the global plane: the
-// closure still runs serially at a barrier, but without forcing a
-// one-event quiesce, which is what lets windows keep their full
-// lookahead width under churn.
-func (n *Net) SendAt(sent sim.Time, src, dst can.NodeID, size int, kind Kind, deliver func(now sim.Time)) {
 	n.countSend(src, size, kind)
 
 	arrive := func(now sim.Time) {
@@ -215,15 +200,12 @@ func (n *Net) SendAt(sent sim.Time, src, dst can.NodeID, size int, kind Kind, de
 		n.countRecv(dst, size, kind)
 		deliver(now)
 	}
+	at := n.eng.Now().Add(n.latency)
 	if n.parent != nil {
-		if n.parent.batched {
-			n.parent.se.PostBatch(n.shard, sent.Add(n.latency), uint64(src), arrive)
-		} else {
-			n.parent.se.PostGlobal(n.shard, sent.Add(n.latency), uint64(src), arrive)
-		}
+		n.parent.se.PostGlobal(n.shard, at, uint64(src), arrive)
 		return
 	}
-	n.eng.At(sent.Add(n.latency), arrive)
+	n.eng.At(at, arrive)
 }
 
 // Deliverable is a message that knows how to apply itself at arrival.
@@ -282,10 +264,9 @@ func (n *Net) SendMsg(src, dst can.NodeID, size int, kind Kind, msg Deliverable)
 	n.SendMsgAt(n.eng.Now(), src, dst, size, kind, msg)
 }
 
-// SendMsgAt is SendMsg with an explicit transmission time — the
-// Deliverable counterpart of SendAt, for barrier-context senders whose
-// facet clock lags the logical send time. With sent == n.eng.Now() it
-// is exactly SendMsg.
+// SendMsgAt is SendMsg with an explicit transmission time, for churn
+// handlers that carry their own instant. With sent == n.eng.Now() it is
+// exactly SendMsg.
 func (n *Net) SendMsgAt(sent sim.Time, src, dst can.NodeID, size int, kind Kind, msg Deliverable) {
 	n.countSend(src, size, kind)
 

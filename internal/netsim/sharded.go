@@ -19,11 +19,6 @@ type ShardedNet struct {
 	latency sim.Duration
 	shardOf func(can.NodeID) int
 	facets  []*Net
-
-	// batched routes closure deliveries (Send/SendAt) to the batch
-	// plane instead of the global plane — set once, before traffic, by
-	// models running batched admission (see proto.Config.BatchedAdmission).
-	batched bool
 }
 
 // NewSharded creates a facet transport over the sharded engine. The
@@ -58,17 +53,6 @@ func (sn *ShardedNet) Shards() int { return len(sn.facets) }
 // Latency returns the one-way delivery latency.
 func (sn *ShardedNet) Latency() sim.Duration { return sn.latency }
 
-// EarliestUndelivered reports the earliest in-flight arrival time from
-// shard src's facet to shard dst — mail posted but not yet flushed into
-// the destination queue — with ok false when none is in flight. This is
-// the per-shard-pair transport horizon the adaptive window policy (and
-// its tests) reason with: a window may never widen past the earliest
-// undelivered arrival, because delivery must happen in the hop
-// containing it. Barrier/control-plane use only.
-func (sn *ShardedNet) EarliestUndelivered(src, dst int) (sim.Time, bool) {
-	return sn.se.MailNext(src, dst)
-}
-
 // SetDeliverable installs one liveness check on every facet. The check
 // runs on the destination shard's worker (envelope path) or the control
 // plane (closure path), so it must only read state that parallel-phase
@@ -99,11 +83,6 @@ func (sn *ShardedNet) LinkDrops() int64 {
 	}
 	return n
 }
-
-// SetBatchedDelivery routes closure deliveries through the batch plane
-// (see proto's batched-admission mode). It must be set before any
-// traffic flows.
-func (sn *ShardedNet) SetBatchedDelivery(on bool) { sn.batched = on }
 
 // Total returns cumulative counters summed across facets.
 func (sn *ShardedNet) Total() Counters {

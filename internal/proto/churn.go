@@ -51,8 +51,8 @@ func DefaultChurnConfig(n int, gap sim.Duration) ChurnConfig {
 
 // ChurnSim is the surface the churn driver needs from a protocol
 // simulation: membership operations plus two hooks — ctl() for the
-// engine churn belongs on (the serial engine, the sharded control
-// plane, or the batch plane under batched admission) and dims() for
+// engine churn belongs on (the serial engine or the sharded control
+// plane) and dims() for
 // drawing join points. Both *Sim and *ShardedSim implement it; external
 // drivers (scenario engines) program against it so one driver covers
 // every engine.
@@ -106,9 +106,8 @@ func NewChurnDriver(s ChurnSim, cfg ChurnConfig) *ChurnDriver {
 }
 
 // NewShardedChurnDriver prepares a driver over a sharded simulation.
-// Churn runs on the control plane (or, under batched admission, the
-// batch plane), so the event sequence for a given (cfg, S) is one
-// deterministic stream regardless of worker count.
+// Churn runs on the control plane, so the event sequence for a given
+// (cfg, S) is one deterministic stream regardless of worker count.
 func NewShardedChurnDriver(ss *ShardedSim, cfg ChurnConfig) *ChurnDriver {
 	return newChurnDriver(ss, cfg)
 }

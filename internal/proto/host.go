@@ -85,15 +85,6 @@ func (h *Host) scheduleFirstTick(phase sim.Duration) {
 	h.tick = h.s.Eng.AfterCall(phase, h)
 }
 
-// scheduleFirstTickAt is scheduleFirstTick with an absolute instant, for
-// batched-admission code running at a window barrier: the shard clock
-// there lags the logical admission time by a partition-dependent
-// amount, so the tick must be pinned to admission time + phase rather
-// than measured from the clock.
-func (h *Host) scheduleFirstTickAt(at sim.Time) {
-	h.tick = h.s.Eng.AtCall(at, h)
-}
-
 // Call fires the heartbeat tick; Host is its own sim.Caller so the
 // periodic reschedule does not allocate a closure per round.
 func (h *Host) Call(now sim.Time) { h.onTick(now) }

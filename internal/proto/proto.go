@@ -87,19 +87,6 @@ type Config struct {
 	MaxPerFace int
 	// Seed drives heartbeat phase offsets.
 	Seed int64
-	// BatchedAdmission moves churn off the sharded control plane: joins,
-	// leaves and failures issued against a ShardedSim are prepared on the
-	// batch plane (overlay mutation, shard assignment, RNG draws) and
-	// their protocol-state completions are queued per owning shard, then
-	// executed by the worker pool at the next window barrier; only
-	// cross-shard admissions fall back to inline serial execution. The
-	// batched mode keeps the (S, W)-invariance contract — same seed ⇒
-	// byte-identical reports for any shard partition and worker count —
-	// but quantizes protocol side-effects to window barriers, so its
-	// outputs may differ from the strict (default) mode, which remains
-	// byte-identical to the serial Sim. Ignored by the serial Sim.
-	// See DESIGN.md §14.
-	BatchedAdmission bool
 }
 
 // DefaultConfig returns the parameters used in the evaluation: 60 s

@@ -111,10 +111,9 @@ func (s *Sim) simOf(id can.NodeID) *Sim {
 }
 
 // ctl returns the engine churn continuations belong on: the serial
-// engine itself, or the sharded control/batch plane — takeover
-// procedures mutate hosts across shards and read the overlay, so they
-// must run with every shard quiesced (at a one-event quiesce on the
-// control plane, or a window barrier on the batch plane).
+// engine itself, or the sharded control plane — takeover procedures
+// mutate hosts across shards and read the overlay, so they must run
+// with every shard quiesced.
 func (s *Sim) ctl() *sim.Engine {
 	if s.parent != nil {
 		return s.parent.ctl()
@@ -339,20 +338,10 @@ func (s *Sim) Fail(id can.NodeID) error {
 // union are exactly the broken links the heartbeat schemes then do or
 // do not repair.
 func (s *Sim) executeTakeover(now sim.Time, taker *Host, gone can.NodeID, goneZone geom.Zone, goneTable []Record, mergedID can.NodeID) {
-	// Under batched admission this runs at a window barrier, where
-	// earlier batch events in the same drain may have queued per-shard
-	// join completions. The takeover mutates the taker's (and possibly
-	// the merge partner's) view and reads overlay state those
-	// completions are about to touch, so the queue executes first —
-	// preserving the one logical batch order the determinism contract
-	// is stated in. A no-op in strict and serial modes.
-	//
-	// All message sends below pin their transmission instant to the
-	// handler's `now` rather than the facet clock: identical in serial
-	// and strict modes (the clocks agree at handler time), and required
-	// at a barrier, where shard clocks lag by a partition-dependent
-	// amount.
-	s.flushBatched()
+	// Message sends below pin their transmission instant to the
+	// handler's `now`. Takeovers run on the control plane, where every
+	// shard clock has been advanced to that instant, so it equals the
+	// facet clock.
 	delete(taker.lastTables, gone)
 	taker.view.bury(gone, now.Add(s.Cfg.tombstoneTTL()))
 
@@ -362,24 +351,14 @@ func (s *Sim) executeTakeover(now sim.Time, taker *Host, gone can.NodeID, goneZo
 		if mh := s.hostOf(mergedID); mh != nil && mh.alive {
 			recs := s.replyTable(now, taker.view) // pooled: consumed at delivery
 			size := FullMessageBytes(s.Ov.Dims(), len(recs))
-			if s.parent != nil && s.parent.batched {
-				// Batched mode: the delivery must run at a batch barrier —
-				// it flushes queued completions before touching the merge
-				// partner — so it stays a closure on the batch plane.
-				s.Net.SendAt(now, taker.id, mergedID, size, netsim.KindFull, func(now2 sim.Time) {
-					s.flushBatched()
-					deliverMergeHandoff(s.simOf(mergedID), now2, mergedID, recs)
-				})
-			} else {
-				// Serial and strict modes: an envelope, so the delivery
-				// interleaves with same-instant announce arrivals at the
-				// merge partner in emission order — the serial engine's
-				// tie-break — rather than jumping the queue on the global
-				// plane. The delivery only touches the partner's own state,
-				// so it is safe inside the partner's shard window.
-				s.Net.SendMsgAt(now, taker.id, mergedID, size, netsim.KindFull,
-					&mergeMsg{s: s.simOf(mergedID), dst: mergedID, recs: recs})
-			}
+			// An envelope, so the delivery interleaves with same-instant
+			// announce arrivals at the merge partner in emission order —
+			// the serial engine's tie-break — rather than jumping the
+			// queue on the global plane. The delivery only touches the
+			// partner's own state, so it is safe inside the partner's
+			// shard window.
+			s.Net.SendMsgAt(now, taker.id, mergedID, size, netsim.KindFull,
+				&mergeMsg{s: s.simOf(mergedID), dst: mergedID, recs: recs})
 		}
 	}
 
@@ -397,15 +376,6 @@ func (s *Sim) executeTakeover(now sim.Time, taker *Host, gone can.NodeID, goneZo
 			continue
 		}
 		s.sendAnnounceAt(now, taker.id, t, gone, self)
-	}
-}
-
-// flushBatched executes any queued batched-admission completions before
-// a churn continuation touches protocol state; no-op outside batched
-// mode.
-func (s *Sim) flushBatched() {
-	if s.parent != nil && s.parent.batched {
-		s.parent.flushPending()
 	}
 }
 
@@ -618,9 +588,8 @@ func deliverMergeHandoff(s *Sim, now sim.Time, dst can.NodeID, recs []Record) {
 	}
 }
 
-// mergeMsg is a merge handoff in flight (serial and strict modes; the
-// batched path rides the batch plane as a closure — see
-// executeTakeover). Merges are rare churn events, so it is not pooled.
+// mergeMsg is a merge handoff in flight. Merges are rare churn events,
+// so it is not pooled.
 type mergeMsg struct {
 	s    *Sim // the partner's sim
 	dst  can.NodeID
@@ -655,8 +624,8 @@ func (s *Sim) sendAnnounce(src, dst can.NodeID, gone can.NodeID, owner Record) {
 }
 
 // sendAnnounceAt is sendAnnounce with an explicit transmission time, for
-// barrier-context churn code whose facet clock lags the logical instant
-// (see netsim.SendMsgAt). With now == s.Eng.Now() it is sendAnnounce.
+// churn handlers that carry their own instant (see netsim.SendMsgAt).
+// With now == s.Eng.Now() it is sendAnnounce.
 func (s *Sim) sendAnnounceAt(now sim.Time, src, dst can.NodeID, gone can.NodeID, owner Record) {
 	var m *announceMsg
 	if k := len(s.announcePool); k > 0 {
@@ -690,12 +659,6 @@ func (m *introMsg) Deliver(now sim.Time) {
 }
 
 func (s *Sim) sendJoinIntro(src, dst can.NodeID, splitter, newbie Record) {
-	s.sendJoinIntroAt(s.Eng.Now(), src, dst, splitter, newbie)
-}
-
-// sendJoinIntroAt is sendJoinIntro with an explicit transmission time,
-// for batched join completions running at a window barrier.
-func (s *Sim) sendJoinIntroAt(now sim.Time, src, dst can.NodeID, splitter, newbie Record) {
 	var m *introMsg
 	if k := len(s.introPool); k > 0 {
 		m = s.introPool[k-1]
@@ -706,7 +669,7 @@ func (s *Sim) sendJoinIntroAt(now sim.Time, src, dst can.NodeID, splitter, newbi
 	}
 	m.s = s.simOf(dst)
 	m.dst, m.splitter, m.newbie = dst, splitter, newbie
-	s.Net.SendMsgAt(now, src, dst, AnnounceBytes(s.Ov.Dims()), netsim.KindAnnounce, m)
+	s.Net.SendMsg(src, dst, AnnounceBytes(s.Ov.Dims()), netsim.KindAnnounce, m)
 }
 
 func (s *Sim) sendRequest(src, dst can.NodeID, self Record) {

@@ -45,15 +45,6 @@ type ShardedSim struct {
 
 	shards    []*Sim
 	nodeShard map[can.NodeID]int // assigned at join, retained past departure
-
-	// Batched-admission state (Config.BatchedAdmission; see batched.go).
-	// pendGroups holds deferred per-shard join/leave completions in batch
-	// order; pendRefs is the union of their touch sets (the reference
-	// rule's index); pendCount the total queued across shards.
-	batched    bool
-	pendGroups [][]func()
-	pendRefs   map[can.NodeID]struct{}
-	pendCount  int
 }
 
 // NewShardedSim creates an S-shard protocol simulation of a
@@ -101,29 +92,8 @@ func NewShardedSim(shards, workers, dims int, cfg Config) *ShardedSim {
 		h := ss.hostOf(dst)
 		return h != nil && h.alive
 	})
-	if cfg.BatchedAdmission {
-		ss.batched = true
-		ss.pendGroups = make([][]func(), shards)
-		ss.pendRefs = make(map[can.NodeID]struct{})
-		snet.SetBatchedDelivery(true)
-		// Queued completions must land before the window containing
-		// their batch slot runs (ticks and deliveries inside it observe
-		// the admitted state), so the engine flushes them as part of
-		// every batch drain.
-		se.SetAfterBatchDrain(ss.flushPending)
-	}
-	// Adaptive windows (sim.WindowAdaptive) may only widen while the
-	// model holds no deferred barrier work: pending batched-admission
-	// completions flush at window barriers, so widening across them
-	// would move their flush points. Strict mode never holds any.
-	se.SetWindowAdvisor(ss.batchQuiescent)
 	return ss
 }
-
-// batchQuiescent reports whether the batch plane holds no deferred
-// admission completions — the model half of adaptive-window
-// eligibility.
-func (ss *ShardedSim) batchQuiescent() bool { return ss.pendCount == 0 }
 
 // Shards returns the shard count S.
 func (ss *ShardedSim) Shards() int { return len(ss.shards) }
@@ -168,26 +138,12 @@ func (ss *ShardedSim) simOf(id can.NodeID) *Sim {
 	return ss.shards[ss.shardID(id)]
 }
 
-// Host returns the protocol host for a live node, or nil. Under batched
-// admission the host's view may have pending completions; they are
-// flushed so callers observe settled state.
-func (ss *ShardedSim) Host(id can.NodeID) *Host {
-	ss.flushPendingIfBatched()
-	return ss.hostOf(id)
-}
+// Host returns the protocol host for a live node, or nil.
+func (ss *ShardedSim) Host(id can.NodeID) *Host { return ss.hostOf(id) }
 
 // Overlay returns the shared ground-truth overlay (scenario engines and
 // telemetry hang capability lookups off it).
 func (ss *ShardedSim) Overlay() *can.Overlay { return ss.Ov }
-
-// flushPendingIfBatched applies the read rule: oracle and telemetry
-// readers of protocol state settle the completion queue first. No-op in
-// strict mode. Control-plane (or quiesced-engine) use only.
-func (ss *ShardedSim) flushPendingIfBatched() {
-	if ss.batched {
-		ss.flushPending()
-	}
-}
 
 // AliveHosts returns the number of live protocol hosts across shards.
 func (ss *ShardedSim) AliveHosts() int {
@@ -213,7 +169,6 @@ func (ss *ShardedSim) HostIDs() []can.NodeID {
 // MeanViewSize reports the mean believed-neighbor count across all live
 // hosts.
 func (ss *ShardedSim) MeanViewSize() float64 {
-	ss.flushPendingIfBatched()
 	total, hosts := 0, 0
 	for _, s := range ss.shards {
 		hosts += len(s.hosts)
@@ -236,31 +191,11 @@ func (ss *ShardedSim) ShardAliveHosts(i int) int { return len(ss.shards[i].hosts
 // global mean view size (Σentries/Σhosts == MeanViewSize). Control-plane
 // use only.
 func (ss *ShardedSim) ShardViewStats(i int) (entries, hosts int) {
-	ss.flushPendingIfBatched()
 	s := ss.shards[i]
 	for _, h := range s.hosts {
 		entries += len(h.view.entries)
 	}
 	return entries, len(s.hosts)
-}
-
-// ShardHeartbeatHorizon returns the earliest scheduled heartbeat tick
-// among shard i's live hosts — the shard's steady-state event horizon,
-// the bound adaptive windows widen toward when nothing else is pending.
-// ok is false when the shard has no live host with a scheduled tick.
-// Control-plane (or quiesced-engine) use only; under batched admission
-// it flushes pending completions first (read rule), since an admitted
-// host's first tick is part of its completion.
-func (ss *ShardedSim) ShardHeartbeatHorizon(i int) (sim.Time, bool) {
-	ss.flushPendingIfBatched()
-	var m sim.Time
-	ok := false
-	for _, h := range ss.shards[i].hosts {
-		if t, valid := h.tick.At(); valid && (!ok || t < m) {
-			m, ok = t, true
-		}
-	}
-	return m, ok
 }
 
 // Join admits a capability-less node at point p (control plane).
@@ -271,11 +206,8 @@ func (ss *ShardedSim) Join(p geom.Point) (*can.Node, error) {
 // JoinNode admits a node at point p: the overlay splits, the node is
 // assigned its shard (before any message routes by it), and the owning
 // shard's Sim runs the protocol side of the admission. Control-plane
-// only (batch plane under batched admission).
+// only.
 func (ss *ShardedSim) JoinNode(p geom.Point, caps *resource.NodeCaps) (*can.Node, error) {
-	if ss.batched {
-		return ss.joinNodeBatched(p, caps)
-	}
 	owner := ss.Ov.Owner(p)
 	node, err := ss.Ov.Join(p, caps)
 	if err != nil {
@@ -286,21 +218,14 @@ func (ss *ShardedSim) JoinNode(p geom.Point, caps *resource.NodeCaps) (*can.Node
 	return ss.shards[sh].completeJoin(node, owner), nil
 }
 
-// LeaveVoluntary removes a node gracefully (control plane; batch plane
-// under batched admission).
+// LeaveVoluntary removes a node gracefully (control plane).
 func (ss *ShardedSim) LeaveVoluntary(id can.NodeID) error {
-	if ss.batched {
-		return ss.leaveBatched(id)
-	}
 	return ss.simOf(id).LeaveVoluntary(id)
 }
 
 // Fail removes a node silently (control plane); the takeover
-// continuation is scheduled on the churn engine (control or batch).
+// continuation is scheduled on the control plane too.
 func (ss *ShardedSim) Fail(id can.NodeID) error {
-	if ss.batched {
-		return ss.failBatched(id)
-	}
 	return ss.simOf(id).Fail(id)
 }
 
@@ -311,7 +236,6 @@ func (ss *ShardedSim) Fail(id can.NodeID) error {
 // the serial sweep's exactly. Control-plane (or quiesced-engine) use
 // only.
 func (ss *ShardedSim) BrokenLinks() (missing, stale int) {
-	ss.flushPendingIfBatched()
 	nodes := ss.Ov.Nodes()
 	ss.Ov.WarmViews()
 	perFace := ss.Cfg.MaxPerFace
@@ -351,27 +275,15 @@ func (ss *ShardedSim) BrokenLinks() (missing, stale int) {
 }
 
 // ctl implements the churn-driver hook: churn belongs on the control
-// plane, or the batch plane under batched admission.
-func (ss *ShardedSim) ctl() *sim.Engine {
-	if ss.batched {
-		return ss.SE.Batch()
-	}
-	return ss.SE.Global()
-}
+// plane.
+func (ss *ShardedSim) ctl() *sim.Engine { return ss.SE.Global() }
 
 // dims implements the churn-driver hook.
 func (ss *ShardedSim) dims() int { return ss.Ov.Dims() }
 
-// Run drains every event queue. Completions queued by direct admissions
-// made between drains settle first.
-func (ss *ShardedSim) Run() {
-	ss.flushPendingIfBatched()
-	ss.SE.Run()
-}
+// Run drains every event queue.
+func (ss *ShardedSim) Run() { ss.SE.Run() }
 
 // RunUntil fires events with time ≤ deadline and aligns all clocks to
 // it.
-func (ss *ShardedSim) RunUntil(deadline sim.Time) {
-	ss.flushPendingIfBatched()
-	ss.SE.RunUntil(deadline)
-}
+func (ss *ShardedSim) RunUntil(deadline sim.Time) { ss.SE.RunUntil(deadline) }

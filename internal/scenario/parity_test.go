@@ -14,10 +14,6 @@ import (
 const parityInterval = 30 * sim.Second
 
 func runCorpusWith(t *testing.T, path, engine string, shards, workers int) (report, stream string) {
-	return runCorpusPolicy(t, path, engine, shards, workers, "", "")
-}
-
-func runCorpusPolicy(t *testing.T, path, engine string, shards, workers int, window, admission string) (report, stream string) {
 	t.Helper()
 	spec, err := LoadFile(path)
 	if err != nil {
@@ -26,8 +22,6 @@ func runCorpusPolicy(t *testing.T, path, engine string, shards, workers int, win
 	spec.Engine = engine
 	spec.Shards = shards
 	spec.Workers = workers
-	spec.Window = window
-	spec.Admission = admission
 	res, err := RunSampled(spec, parityInterval)
 	if err != nil {
 		t.Fatal(err)
@@ -72,84 +66,6 @@ func TestCorpusEngineParity(t *testing.T) {
 				}
 				if gotStream != wantStream {
 					t.Fatalf("S=%d W=%d telemetry stream diverged from serial (reports identical)", c[0], c[1])
-				}
-			}
-		})
-	}
-}
-
-// TestCorpusWindowPolicyParity is the adaptive window policy's
-// acceptance contract as a test: over the whole shipped corpus, the
-// sharded engine under `window: adaptive` must produce a report AND a
-// sampled telemetry stream byte-identical to `window: fixed` — and,
-// under strict admission, byte-identical to the serial engine — for
-// (S, W) ∈ {(1,1), (4,1), (4, max)}. Widening a window is a wall-clock
-// optimization only; the hop grid replicates the fixed window grid
-// exactly (DESIGN.md §15), so no policy, shard count or worker count
-// may shift a single delivery.
-//
-// Batched admission is a separate output class: batched output
-// intentionally differs from serial (protocol side-effects are
-// quantized to window barriers), and its protocol-side state is a
-// function of (config, seed, S) — same-instant deliveries order by
-// sender key through the mailbox but by emission order when
-// shard-local, so S shifts view contents (the membership plane alone
-// is S-invariant; see internal/proto/batched.go). What batched runs
-// MUST be invariant under is W and the window policy: for each S, the
-// batched sharded-fixed-(S,1) run is the baseline and every other
-// (W, policy) combination must match it byte for byte.
-func TestCorpusWindowPolicyParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("window-policy parity runs the corpus thirteen times per scenario")
-	}
-	paths, err := filepath.Glob("../../examples/scenarios/*.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) < 6 {
-		t.Fatalf("found %d corpus scenarios, want at least 6", len(paths))
-	}
-	combos := [][2]int{{1, 1}, {4, 1}, {4, runtime.GOMAXPROCS(0)}}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			t.Parallel()
-			// Strict admission: serial is the ground truth for every
-			// (S, W, policy) combination.
-			wantReport, wantStream := runCorpusWith(t, path, "serial", 0, 0)
-			for _, window := range []string{"fixed", "adaptive"} {
-				for _, c := range combos {
-					gotReport, gotStream := runCorpusPolicy(t, path, "sharded", c[0], c[1], window, "strict")
-					if gotReport != wantReport {
-						t.Fatalf("window=%s S=%d W=%d report diverged from serial:\n--- serial\n%s\n--- sharded\n%s",
-							window, c[0], c[1], wantReport, gotReport)
-					}
-					if gotStream != wantStream {
-						t.Fatalf("window=%s S=%d W=%d telemetry stream diverged from serial (reports identical)",
-							window, c[0], c[1])
-					}
-				}
-			}
-			// Batched admission: per shard count, the fixed-window W=1 run
-			// is the baseline; every other (W, policy) combination must
-			// match it.
-			for _, S := range []int{1, 4} {
-				baseReport, baseStream := runCorpusPolicy(t, path, "sharded", S, 1, "fixed", "batched")
-				for _, window := range []string{"fixed", "adaptive"} {
-					for _, W := range []int{1, runtime.GOMAXPROCS(0)} {
-						if window == "fixed" && W == 1 {
-							continue // the baseline itself
-						}
-						gotReport, gotStream := runCorpusPolicy(t, path, "sharded", S, W, window, "batched")
-						if gotReport != baseReport {
-							t.Fatalf("batched window=%s S=%d W=%d report diverged from batched fixed-W1 baseline:\n--- baseline\n%s\n--- got\n%s",
-								window, S, W, baseReport, gotReport)
-						}
-						if gotStream != baseStream {
-							t.Fatalf("batched window=%s S=%d W=%d telemetry stream diverged from batched fixed-W1 baseline (reports identical)",
-								window, S, W)
-						}
-					}
 				}
 			}
 		})

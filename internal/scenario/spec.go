@@ -24,8 +24,6 @@ type Spec struct {
 	Engine      string       // serial (default) | sharded
 	Shards      int          // sharded engine: shard count (0 = default 4)
 	Workers     int          // sharded engine: worker goroutines (0 = GOMAXPROCS)
-	Window      string       // sharded engine: window policy — fixed (default) | adaptive
-	Admission   string       // sharded engine: admission mode — strict (default) | batched
 	Grid        GridSpec
 	Workload    WorkloadSpec
 	Events      []Event
@@ -43,14 +41,6 @@ func (s *Spec) ShardCount() int {
 	}
 	return 4
 }
-
-// AdaptiveWindows reports whether the spec selects the adaptive window
-// policy on the sharded core.
-func (s *Spec) AdaptiveWindows() bool { return s.Window == "adaptive" }
-
-// BatchedAdmission reports whether the spec selects batched admission
-// on the sharded core.
-func (s *Spec) BatchedAdmission() bool { return s.Admission == "batched" }
 
 // GridSpec describes the fleet and the maintenance protocol.
 type GridSpec struct {
@@ -150,14 +140,12 @@ func Load(src string) (*Spec, error) {
 	top := d.mapping(root, "scenario")
 
 	spec := &Spec{
-		Name:      d.str(top, "name", ""),
-		Seed:      d.int64(top, "seed", 1),
-		Duration:  d.dur(top, "duration", 0),
-		Engine:    d.str(top, "engine", "serial"),
-		Shards:    d.count(top, "shards", 0),
-		Workers:   d.count(top, "workers", 0),
-		Window:    d.str(top, "window", ""),
-		Admission: d.str(top, "admission", ""),
+		Name:     d.str(top, "name", ""),
+		Seed:     d.int64(top, "seed", 1),
+		Duration: d.dur(top, "duration", 0),
+		Engine:   d.str(top, "engine", "serial"),
+		Shards:   d.count(top, "shards", 0),
+		Workers:  d.count(top, "workers", 0),
 	}
 
 	g := d.mapping(top["grid"], "grid")
@@ -227,7 +215,7 @@ func Load(src string) (*Spec, error) {
 			"no_orphans", "max_lost", "min_finished", "max_broken_links", "bounds")
 	}
 
-	d.rejectUnknown(top, "scenario", "name", "seed", "duration", "engine", "shards", "workers", "window", "admission", "grid", "workload", "events", "checkpoints", "assert")
+	d.rejectUnknown(top, "scenario", "name", "seed", "duration", "engine", "shards", "workers", "grid", "workload", "events", "checkpoints", "assert")
 	d.rejectUnknown(g, "grid", "nodes", "racks", "gpu_slots", "protocol", "heartbeat", "scheduler", "refresh")
 
 	if d.err != nil {
@@ -260,19 +248,6 @@ func (s *Spec) validate() error {
 	}
 	if (s.Shards > 0 || s.Workers > 0) && !s.Sharded() {
 		return fmt.Errorf("scenario %s: shards/workers require `engine: sharded`", s.Name)
-	}
-	switch s.Window {
-	case "", "fixed", "adaptive":
-	default:
-		return fmt.Errorf("scenario %s: unknown window policy %q (fixed or adaptive)", s.Name, s.Window)
-	}
-	switch s.Admission {
-	case "", "strict", "batched":
-	default:
-		return fmt.Errorf("scenario %s: unknown admission mode %q (strict or batched)", s.Name, s.Admission)
-	}
-	if (s.Window != "" || s.Admission != "") && !s.Sharded() {
-		return fmt.Errorf("scenario %s: window/admission require `engine: sharded`", s.Name)
 	}
 	switch s.Grid.Protocol {
 	case "vanilla", "compact", "adaptive":

@@ -85,10 +85,14 @@ func TestLoadErrors(t *testing.T) {
 		{"shards without sharded", "name: x\nduration: 1m\nshards: 4\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"workers without sharded", "name: x\nduration: 1m\nengine: serial\nworkers: 2\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"negative shards", "name: x\nduration: 1m\nengine: sharded\nshards: -1\ngrid:\n  nodes: 4\n", "shards must be non-negative"},
-		{"unknown window", "name: x\nduration: 1m\nengine: sharded\nwindow: elastic\ngrid:\n  nodes: 4\n", "unknown window policy"},
-		{"unknown admission", "name: x\nduration: 1m\nengine: sharded\nadmission: eager\ngrid:\n  nodes: 4\n", "unknown admission mode"},
-		{"window without sharded", "name: x\nduration: 1m\nwindow: adaptive\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
-		{"admission without sharded", "name: x\nduration: 1m\nengine: serial\nadmission: batched\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
+		// window: and admission: are not spec keys: every value, on
+		// either engine, is rejected as an unknown field.
+		{"unknown window", "name: x\nduration: 1m\nengine: sharded\nwindow: elastic\ngrid:\n  nodes: 4\n", `unknown field "window"`},
+		{"unknown admission", "name: x\nduration: 1m\nengine: sharded\nadmission: eager\ngrid:\n  nodes: 4\n", `unknown field "admission"`},
+		{"window without sharded", "name: x\nduration: 1m\nwindow: adaptive\ngrid:\n  nodes: 4\n", `unknown field "window"`},
+		{"admission without sharded", "name: x\nduration: 1m\nengine: serial\nadmission: batched\ngrid:\n  nodes: 4\n", `unknown field "admission"`},
+		{"removed window key", "name: x\nduration: 1m\nengine: sharded\nwindow: adaptive\ngrid:\n  nodes: 4\n", `unknown field "window"`},
+		{"removed admission key", "name: x\nduration: 1m\nengine: sharded\nadmission: batched\ngrid:\n  nodes: 4\n", `unknown field "admission"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,18 +120,6 @@ func TestLoadEngineKeys(t *testing.T) {
 	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\ngrid:\n  nodes: 4\n")
 	if spec.ShardCount() != 4 || spec.Workers != 0 {
 		t.Errorf("sharded defaults = S=%d W=%d, want S=4 W=0 (GOMAXPROCS)", spec.ShardCount(), spec.Workers)
-	}
-	if spec.AdaptiveWindows() || spec.BatchedAdmission() {
-		t.Errorf("defaults = window %q admission %q, want fixed/strict", spec.Window, spec.Admission)
-	}
-	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nwindow: adaptive\nadmission: batched\ngrid:\n  nodes: 4\n")
-	if !spec.AdaptiveWindows() || !spec.BatchedAdmission() {
-		t.Errorf("window/admission keys = %q/%q, want adaptive/batched", spec.Window, spec.Admission)
-	}
-	// The explicit defaults spell out the same policies.
-	spec = mustLoad(t, "name: x\nduration: 1m\nengine: sharded\nwindow: fixed\nadmission: strict\ngrid:\n  nodes: 4\n")
-	if spec.AdaptiveWindows() || spec.BatchedAdmission() {
-		t.Errorf("explicit defaults = window %q admission %q, want fixed/strict", spec.Window, spec.Admission)
 	}
 }
 

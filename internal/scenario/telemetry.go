@@ -78,9 +78,9 @@ func (w *World) attachTelemetry(interval sim.Duration) {
 	metricsreg.RegisterClusterCounters(w.plane, w.cluster)
 	metricsreg.RegisterNetCounters(w.plane, w.pnet, "net")
 	if w.ssim != nil {
-		// Aux stream only: window-policy counters are policy-dependent by
-		// design, so they are excluded from the canonical byte-compared
-		// export (see metrics.Plane aux series).
+		// Aux stream only: the serial engine has no windows, so the
+		// synchronization counters stay out of the canonical
+		// byte-compared export (see metrics.Plane aux series).
 		metricsreg.RegisterWindowAux(w.plane, w.ssim.SE)
 	}
 	w.plane.Poke()

@@ -101,8 +101,8 @@ func newWorld(spec *Spec, sampleEvery sim.Duration) (*World, error) {
 	// parallel conservative windows; churn, events, checkpoints, the
 	// workload stream and telemetry all stay on its global control
 	// plane, which quiesces the shards before every firing — the same
-	// total order a serial engine gives them. Strict (non-batched)
-	// admission keeps reports byte-identical to the serial engine.
+	// total order a serial engine gives them, so reports are
+	// byte-identical to the serial engine's.
 	var (
 		eng  *sim.Engine
 		psim protoPlane
@@ -113,11 +113,7 @@ func newWorld(spec *Spec, sampleEvery sim.Duration) (*World, error) {
 		if pcfg.HeartbeatPeriod <= pcfg.Latency {
 			return nil, fmt.Errorf("scenario %s: engine sharded requires grid.heartbeat > %s", spec.Name, fmtDur(pcfg.Latency))
 		}
-		pcfg.BatchedAdmission = spec.BatchedAdmission()
 		ssim = proto.NewShardedSim(spec.ShardCount(), spec.Workers, space.Dims(), pcfg)
-		if spec.AdaptiveWindows() {
-			ssim.SE.SetWindowPolicy(sim.WindowAdaptive)
-		}
 		eng = ssim.SE.Global()
 		psim, pnet = ssim, ssim.Net
 	} else {

@@ -47,79 +47,31 @@ import (
 // ≥ window start + L ≥ end, so it lands in a strictly later window —
 // which also means the barrier's happens-before edge covers everything
 // the sender wrote before sending. Post enforces the invariant.
-//
-// # The batch plane
-//
-// Some control work does not need the one-event-per-barrier quiesce of
-// the global engine: churn admissions, for example, only need to run
-// serially in deterministic order — they do not need every shard
-// advanced to their exact instant. The batch engine holds such events.
-// At each barrier, every batch event strictly below the window bound
-// fires in (time, seq) order on the caller goroutine, BEFORE the
-// window's shard events execute. A batch event at time tb therefore
-// runs "hoisted" to its window's start: shard events in [start, tb)
-// observe its effects. That hoisting is deterministic — the drain set
-// and order are functions of partition-independent queue minima — so
-// output remains byte-identical for any (S, W); it is, however, a
-// coarser interleaving than the global plane's, which is why the batch
-// plane is opt-in per model (see proto's batched-admission mode).
-// Unlike mailbox posts, a batch handler's effects may target any time
-// ≥ tb (first heartbeat ticks, say) rather than ≥ tb+L: the effects
-// are installed before the window body runs, so events landing inside
-// the window still fire in it, exactly as if they had been scheduled
-// there all along. Ties with a global event at the same instant
-// resolve batch-first (admissions precede samplers).
 type ShardedEngine struct {
 	shards []*Engine
 	global *Engine
-	batch  *Engine
 	look   Duration
 
-	// mail[src*(S+2)+dst] buffers cross-shard sends; column S is the
-	// global engine and column S+1 the batch engine. Row block src is
-	// written only by the goroutine executing shard src (or the serial
-	// control phase). rowMin[i] caches the earliest arrival buffered in
-	// row i, valid while the row is non-empty. flushBuf is barrier-local
-	// scratch for the per-destination merge sort.
+	// mail[src*(S+1)+dst] buffers cross-shard sends; column S is the
+	// global engine. Row block src is written only by the goroutine
+	// executing shard src (or the serial control phase). flushBuf is
+	// barrier-local scratch for the per-destination merge sort.
 	mail     [][]mailEntry
-	rowMin   []Time
 	flushBuf []mailEntry
 
-	// Wide-window state (see window.go). mailAlt/rowMinAlt is the second
-	// mailbox generation: inside a wide window the caller swaps the
-	// generations each hop, so workers flush the frozen previous hop's
-	// rows while the shards they run post into the current ones. hopBuf
-	// holds per-destination flush scratch (hopBuf[i] is owned by the
-	// worker that owns shard i).
-	mailAlt   [][]mailEntry
-	rowMinAlt []Time
-	hopBuf    [][]mailEntry
-
-	policy   WindowPolicy
-	advisor  func() bool
-	onWindow func(start, end Time)
-	wstats   WindowStats
-
+	wstats    WindowStats
 	windowEnd Time // exclusive bound of the current/last window
 
 	// rowOrdered is true while posts must be ordered by (key, own mailbox
-	// row) rather than by a global emission counter: window bodies,
-	// ParallelShards fan-outs, batch drains and RowOrdered scopes. It is
-	// written only by the caller goroutine at barriers; workers observe
-	// it through the channel-send happens-before edge. serialSub counts
-	// serially-ordered posts (it is touched only when rowOrdered is
-	// false, i.e. on the caller goroutine) and tie-breaks equal-(at, key)
-	// mail across source rows; see windowSub.
+	// row) rather than by a global emission counter: window bodies and
+	// ParallelShards fan-outs. It is written only by the caller goroutine
+	// at barriers; workers observe it through the channel-send
+	// happens-before edge. serialSub counts serially-ordered posts (it is
+	// touched only when rowOrdered is false, i.e. on the caller
+	// goroutine) and tie-breaks equal-(at, key) mail across source rows;
+	// see windowSub.
 	rowOrdered bool
 	serialSub  uint64
-
-	// afterBatch, when set, runs on the caller goroutine after every
-	// batch drain that fired at least one event — the hook where a model
-	// flushes work the drained events queued (per-shard completion
-	// groups, dispatched via ParallelShards). inBatchDrain is true while
-	// a drain's handlers are on the stack (see InBatchDrain).
-	afterBatch   func()
-	inBatchDrain bool
 
 	workers int
 	started bool
@@ -128,14 +80,21 @@ type ShardedEngine struct {
 }
 
 // workItem is one barrier dispatch to a worker: a window sweep (fn nil,
-// run shard events before end), a wide-window hop (flush set: flush the
-// owned mail columns from the frozen generation first), or a per-shard
-// task fan-out (fn non-nil, called once per owned shard). A small
-// struct keeps the hot window path allocation-free.
+// run shard events before end) or a per-shard task fan-out (fn non-nil,
+// called once per owned shard). A small struct keeps the hot window
+// path allocation-free.
 type workItem struct {
-	end   Time
-	flush bool
-	fn    func(shard int)
+	end Time
+	fn  func(shard int)
+}
+
+// WindowStats counts the engine's synchronization structure. The
+// counters are observational and must never feed back into model
+// state.
+type WindowStats struct {
+	Windows  int64    // conservative windows executed (one barrier each)
+	Quiesces int64    // control-phase single-event quiesces
+	SpanSum  Duration // total virtual-time span of all windows
 }
 
 type mailEntry struct {
@@ -146,18 +105,15 @@ type mailEntry struct {
 	h   Handler
 }
 
-// windowSub is the sub-key stamped on row-ordered posts (window bodies,
-// ParallelShards fan-outs, batch drains, RowOrdered scopes). Global-
-// phase and pre-run posts get an increasing counter instead, so at
+// windowSub is the sub-key stamped on row-ordered posts (window bodies
+// and ParallelShards fan-outs). Global-phase and pre-run posts get an increasing counter instead, so at
 // equal (at, key) a global-phase emission always precedes a row-ordered
 // one — the order those phases themselves run in — and two global-phase
 // emissions order by the serial schedule even when they were buffered
 // into different source rows (a control event may send on behalf of
 // node X through any shard's facet, so equal keys do NOT imply one
-// row). Row-ordered posts deliberately carry no counter: a model may
-// defer such an emission and replay it at a later barrier (batched
-// completions do), and its sort key must not depend on when the replay
-// happens.
+// row). Row-ordered posts carry no counter: within one window their
+// order is the sender's own row order, kept by the stable flush sort.
 const windowSub = ^uint64(0)
 
 // NewSharded creates a sharded engine with the given shard count and
@@ -174,10 +130,8 @@ func NewSharded(shards int, lookahead Duration) *ShardedEngine {
 	se := &ShardedEngine{
 		shards:  make([]*Engine, shards),
 		global:  New(),
-		batch:   New(),
 		look:    lookahead,
-		mail:    make([][]mailEntry, shards*(shards+2)),
-		rowMin:  make([]Time, shards*(shards+2)),
+		mail:    make([][]mailEntry, shards*(shards+1)),
 		workers: 1,
 	}
 	for i := range se.shards {
@@ -199,20 +153,6 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // shard quiesced and advanced to the event's time, so they may touch
 // any shard's state.
 func (se *ShardedEngine) Global() *Engine { return se.global }
-
-// Batch returns the batch control engine: serial events drained in
-// (time, seq) order at window barriers rather than one per quiesce (see
-// the batch-plane section of the type comment). Schedule on it before
-// the engine runs or from control/batch-phase handlers; batch handlers
-// run with the batch engine's own clock at the event's time, while
-// shard clocks sit at or before the window start.
-func (se *ShardedEngine) Batch() *Engine { return se.batch }
-
-// SetAfterBatchDrain installs the hook that runs after every batch
-// drain that fired at least one event, on the caller goroutine, before
-// the window body executes. Models use it to flush per-shard work the
-// drained events queued — typically via ParallelShards.
-func (se *ShardedEngine) SetAfterBatchDrain(f func()) { se.afterBatch = f }
 
 // Lookahead returns the conservative lookahead L.
 func (se *ShardedEngine) Lookahead() Duration { return se.look }
@@ -243,7 +183,7 @@ func (se *ShardedEngine) Now() Time { return se.global.Now() }
 // Pending returns the total number of scheduled events across all
 // queues (including unflushed mail).
 func (se *ShardedEngine) Pending() int {
-	n := se.global.Pending() + se.batch.Pending()
+	n := se.global.Pending()
 	for _, sh := range se.shards {
 		n += sh.Pending()
 	}
@@ -278,9 +218,11 @@ func (se *ShardedEngine) Stats() Stats {
 		s.add(sh.Stats())
 	}
 	s.add(se.global.Stats())
-	s.add(se.batch.Stats())
 	return s
 }
+
+// WindowStats returns the synchronization counters accumulated so far.
+func (se *ShardedEngine) WindowStats() WindowStats { return se.wstats }
 
 // Post buffers a message event: c.Call fires at time at on shard dst
 // (src == dst is allowed and routes through the same mailbox — a model
@@ -303,18 +245,8 @@ func (se *ShardedEngine) Post(src, dst int, at Time, key uint64, c Caller) {
 	if at < se.windowEnd {
 		panic(fmt.Sprintf("sim: cross-shard post at %d below window bound %d (message carried less than one lookahead)", at, se.windowEnd))
 	}
-	i := src*(len(se.shards)+2) + dst
-	se.postRow(i, mailEntry{at: at, key: key, sub: se.emitSub(), c: c})
-}
-
-// postRow appends an entry to mail row i, maintaining the row's cached
-// earliest-arrival bound (the adaptive window policy reads it between
-// hops; see nextHopStart).
-func (se *ShardedEngine) postRow(i int, m mailEntry) {
-	if len(se.mail[i]) == 0 || m.at < se.rowMin[i] {
-		se.rowMin[i] = m.at
-	}
-	se.mail[i] = append(se.mail[i], m)
+	i := src*(len(se.shards)+1) + dst
+	se.mail[i] = append(se.mail[i], mailEntry{at: at, key: key, sub: se.emitSub(), c: c})
 }
 
 // emitSub stamps a post's tie-break sub-key. Row-ordered posts come
@@ -331,19 +263,6 @@ func (se *ShardedEngine) emitSub() uint64 {
 	return se.serialSub
 }
 
-// RowOrdered runs fn with posts classed as row-ordered (windowSub), the
-// same class ParallelShards and batch drains use. A model calls it when
-// executing, inline and serially, work that on another shard layout
-// would run as a deferred per-shard fan-out — batched admission's
-// cross-shard completions — so the emission class, and with it the
-// flush sort, cannot depend on the partition. Caller goroutine only.
-func (se *ShardedEngine) RowOrdered(fn func()) {
-	prev := se.rowOrdered
-	se.rowOrdered = true
-	fn()
-	se.rowOrdered = prev
-}
-
 // PostGlobal buffers a handler for the serial control plane: h fires at
 // time at on the global engine, with every shard quiesced. Same calling
 // rules, key semantics and window-bound invariant as Post.
@@ -351,24 +270,8 @@ func (se *ShardedEngine) PostGlobal(src int, at Time, key uint64, h Handler) {
 	if at < se.windowEnd {
 		panic(fmt.Sprintf("sim: global post at %d below window bound %d (message carried less than one lookahead)", at, se.windowEnd))
 	}
-	S := len(se.shards)
-	i := src*(S+2) + S
-	se.postRow(i, mailEntry{at: at, key: key, sub: se.emitSub(), h: h})
-}
-
-// PostBatch buffers a handler for the batch control plane: h fires at
-// time at on the batch engine, drained serially at the barrier of the
-// window containing at. Same calling rules, key semantics and
-// window-bound invariant as Post. This is how worker-local code hands
-// serial continuations (cross-shard takeovers, handoff deliveries) to
-// the batch plane without racing on its queue.
-func (se *ShardedEngine) PostBatch(src int, at Time, key uint64, h Handler) {
-	if at < se.windowEnd {
-		panic(fmt.Sprintf("sim: batch post at %d below window bound %d (message carried less than one lookahead)", at, se.windowEnd))
-	}
-	S := len(se.shards)
-	i := src*(S+2) + S + 1
-	se.postRow(i, mailEntry{at: at, key: key, sub: se.emitSub(), h: h})
+	i := src*(len(se.shards)+1) + len(se.shards)
+	se.mail[i] = append(se.mail[i], mailEntry{at: at, key: key, sub: se.emitSub(), h: h})
 }
 
 // flushMail drains every mailbox into its destination queue. Each
@@ -390,32 +293,27 @@ func (se *ShardedEngine) PostBatch(src int, at Time, key uint64, h Handler) {
 // scheduled events is too: everything scheduled during window k
 // precedes everything flushed at barrier k.
 func (se *ShardedEngine) flushMail() {
-	S := len(se.shards)
-	for dst := 0; dst <= S+1; dst++ {
-		se.flushBuf = se.flushDstFrom(se.mail, dst, se.flushBuf)
+	for dst := 0; dst <= len(se.shards); dst++ {
+		se.flushDst(dst)
 	}
 }
 
-// flushDstFrom drains destination dst's column of the given mailbox
-// generation into its engine and returns the (emptied) scratch buffer
-// for reuse. Distinct destinations touch disjoint rows and engines, so
-// wide-window hops may call it concurrently for different dst values
-// with per-destination buffers.
-func (se *ShardedEngine) flushDstFrom(mail [][]mailEntry, dst int, scratch []mailEntry) []mailEntry {
+// flushDst drains destination dst's mailbox column into its engine.
+func (se *ShardedEngine) flushDst(dst int) {
 	S := len(se.shards)
-	buf := scratch[:0]
+	buf := se.flushBuf[:0]
 	for src := 0; src < S; src++ {
-		i := src*(S+2) + dst
-		row := mail[i]
+		i := src*(S+1) + dst
+		row := se.mail[i]
 		if len(row) == 0 {
 			continue
 		}
 		buf = append(buf, row...)
 		clear(row)
-		mail[i] = row[:0]
+		se.mail[i] = row[:0]
 	}
 	if len(buf) == 0 {
-		return buf
+		return
 	}
 	sort.SliceStable(buf, func(i, j int) bool {
 		a, b := &buf[i], &buf[j]
@@ -439,11 +337,8 @@ func (se *ShardedEngine) flushDstFrom(mail [][]mailEntry, dst int, scratch []mai
 		return a.key < b.key
 	})
 	eng := se.global
-	switch {
-	case dst < S:
+	if dst < S {
 		eng = se.shards[dst]
-	case dst == S+1:
-		eng = se.batch
 	}
 	for _, m := range buf {
 		if m.c != nil {
@@ -453,7 +348,7 @@ func (se *ShardedEngine) flushDstFrom(mail [][]mailEntry, dst int, scratch []mai
 		}
 	}
 	clear(buf)
-	return buf[:0]
+	se.flushBuf = buf[:0]
 }
 
 // minShardNext returns the earliest pending event time across shards.
@@ -481,45 +376,30 @@ func (se *ShardedEngine) run(deadline Time, bounded bool) {
 		se.flushMail()
 		m, okm := se.minShardNext()
 		g, okg := se.global.NextAt()
-		b, okb := se.batch.NextAt()
-		if !okm && !okg && !okb {
+		if !okm && !okg {
 			break
 		}
-		// The window start is the earliest pending shard or batch event:
-		// batch events drain at their window's barrier, so they bound
-		// window placement exactly like shard work does.
-		start, oks := m, okm
-		if okb && (!oks || b < start) {
-			start, oks = b, true
-		}
-		if okg && (!oks || g <= start) {
-			// Control phase: the earliest work is a global event. Ties
-			// with shard or batch events resolve global-last here only
-			// when g > start; at g == start the global event still wins
-			// over shard events but batch events at exactly g fire
-			// first (batch-before-global). Quiesce and align every
-			// shard clock so the handler sees one consistent instant,
-			// then fire exactly one event — it may schedule shard
-			// events, post mail, or enqueue more global events, so
-			// everything is recomputed next iteration.
+		if okg && (!okm || g <= m) {
+			// Control phase: the earliest work is a global event (ties with
+			// shard events resolve global-first). Quiesce and align every
+			// shard clock so the handler sees one consistent instant, then
+			// fire exactly one event — it may schedule shard events, post
+			// mail, or enqueue more global events, so everything is
+			// recomputed next iteration.
 			if bounded && g > deadline {
 				break
 			}
 			for _, sh := range se.shards {
 				sh.AdvanceTo(g)
 			}
-			se.drainBatch(g + 1)
 			se.global.Step()
 			se.wstats.Quiesces++
 			continue
 		}
-		if bounded && start > deadline {
+		if bounded && m > deadline {
 			break
 		}
-		if se.policy == WindowAdaptive && se.tryWideWindow(start, g, okg, okb, deadline, bounded) {
-			continue
-		}
-		end := start.Add(se.look)
+		end := m.Add(se.look)
 		if okg && g < end {
 			end = g
 		}
@@ -528,54 +408,16 @@ func (se *ShardedEngine) run(deadline Time, bounded bool) {
 		}
 		se.windowEnd = end
 		se.wstats.Windows++
-		se.wstats.Hops++
-		se.wstats.SpanSum += end.Sub(start)
-		if se.onWindow != nil {
-			se.onWindow(start, end)
-		}
-		// Drain batch events below the bound BEFORE the window body:
-		// their effects may target times inside [start, end), and
-		// installing them first means those events fire in this window
-		// exactly as if they had been scheduled there all along.
-		se.drainBatch(end)
+		se.wstats.SpanSum += end.Sub(m)
 		se.runWindow(end)
 	}
 	if bounded {
 		for _, sh := range se.shards {
 			sh.AdvanceTo(deadline)
 		}
-		se.batch.AdvanceTo(deadline)
 		se.global.AdvanceTo(deadline)
 	}
 }
-
-// drainBatch fires every batch event strictly before bound in
-// (time, seq) order on the caller goroutine, then runs the afterBatch
-// flush hook if anything fired. Handlers may schedule more batch events
-// below the bound; the drain cascades over those too.
-func (se *ShardedEngine) drainBatch(bound Time) {
-	// Batch handlers' posts are row-ordered: a batched model's emissions
-	// must sort identically whether they happen at the handler (inline
-	// completions), at the drain's fan-out hook, or at a later read-rule
-	// flush — classing any of them serially would key the sort to flush
-	// timing, which the partition influences.
-	prev := se.rowOrdered
-	se.rowOrdered = true
-	se.inBatchDrain = true
-	fired := se.batch.RunBefore(bound) > 0
-	se.inBatchDrain = false
-	se.rowOrdered = prev
-	if fired && se.afterBatch != nil {
-		se.afterBatch()
-	}
-}
-
-// InBatchDrain reports whether a batch-plane event handler is on the
-// stack. Models use it to tell batch-plane churn — whose deferred
-// completions are guaranteed a flush at this drain's own hook — from
-// control-plane callers, which have no later drain promised before the
-// windows move past the admission instant and must complete inline.
-func (se *ShardedEngine) InBatchDrain() bool { return se.inBatchDrain }
 
 // runWindow executes every shard's events strictly before end. With one
 // worker (or one active shard) it runs inline; otherwise shards are
@@ -623,15 +465,14 @@ func (se *ShardedEngine) runWorker(k int, end Time) {
 // pool exactly as runWindow does: worker k owns shards k, k+W, ... and
 // the caller acts as worker 0, so fn may touch shard i's engine, state
 // and mailbox row when called with i. It must only be called at a
-// barrier (from control- or batch-phase code, or the afterBatch hook),
-// never from inside a window. Which worker runs which shard can never
+// barrier (from control-phase code or with the engine idle), never
+// from inside a window. Which worker runs which shard can never
 // affect results for the same reason the window deal cannot: per-shard
 // work is self-contained and mail merges deterministically.
 func (se *ShardedEngine) ParallelShards(fn func(shard int)) {
 	// Posts from fn are row-ordered (each call sends only as shard i's
 	// nodes, from shard i's row) — flagged here even on the inline paths
-	// so the sub-key is identical for every W. Save/restore rather than
-	// reset: a batch drain (already row-ordered) may fan out mid-drain.
+	// so the sub-key is identical for every W.
 	prev := se.rowOrdered
 	se.rowOrdered = true
 	defer func() { se.rowOrdered = prev }()
@@ -669,14 +510,11 @@ func (se *ShardedEngine) ensureWorkers() {
 		se.work[k] = ch
 		go func(k int, ch chan workItem) {
 			for it := range ch {
-				switch {
-				case it.fn != nil:
+				if it.fn != nil {
 					for i := k; i < len(se.shards); i += se.workers {
 						it.fn(i)
 					}
-				case it.flush:
-					se.hopWorker(k, it.end, true)
-				default:
+				} else {
 					se.runWorker(k, it.end)
 				}
 				se.wg.Done()

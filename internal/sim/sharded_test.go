@@ -309,8 +309,7 @@ func (a *fuzzActor) Call(now Time) {
 	}
 	myShard := a.id % a.shards
 	// Self event: a dense sub-lookahead delay, or — when the run carries
-	// a heartbeat-like period — a steady-state gap of several lookaheads,
-	// the regime the adaptive window policy widens across.
+	// a heartbeat-like period — a steady-state gap of several lookaheads.
 	if a.period > 0 {
 		a.se.Shard(myShard).AfterCall(a.period+Duration(r%9), a)
 	} else {
@@ -326,18 +325,6 @@ func (a *fuzzActor) Call(now Time) {
 	if r%7 == 0 {
 		a.se.PostGlobal(myShard, now.Add(a.se.Lookahead()), uint64(a.id), func(gnow Time) {
 			fuzzGlobal += splitmix64(uint64(gnow) ^ r)
-		})
-	}
-	// Occasional batch event: runs at a window barrier and hoists an
-	// effect back to its own instant on a target's shard — the shape of
-	// batched admission (a completion installing state the window about
-	// to run must observe). Both the barrier-side counter and the
-	// hoisted in-window delivery must stay (S, W)-invariant.
-	if r%11 == 0 {
-		dst := int(r>>24) % a.actors
-		a.se.PostBatch(myShard, now.Add(a.se.Lookahead()), uint64(a.id), func(bnow Time) {
-			fuzzGlobal += splitmix64(uint64(bnow) ^ r ^ 0xb47c)
-			a.se.Shard(dst%a.shards).AtCall(bnow, &fuzzMsg{payload: splitmix64(r), dst: fuzzPeers[dst]})
 		})
 	}
 	// Mid-window join wave: wake a reserve actor by posting its first
@@ -371,16 +358,12 @@ var (
 	fuzzGlobal uint64
 )
 
-// runFuzzWorkload runs the workload and returns its report plus the
-// engine's window counters. The report must be a pure model property —
-// identical for every (W, policy) at fixed S, and for every S when the
-// model is partition-independent — while the counters are expected to
-// differ by policy (that is the policy's point) and so stay out of the
-// report.
-func runFuzzWorkload(shards, workers, actors int, seed uint64, horizon Time, period Duration, policy WindowPolicy) (string, WindowStats) {
+// runFuzzWorkload runs the workload and returns its report, which must
+// be a pure model property: identical for every W at fixed S, and for
+// every S when the model is partition-independent.
+func runFuzzWorkload(shards, workers, actors int, seed uint64, horizon Time, period Duration) string {
 	se := NewSharded(shards, 10)
 	se.SetWorkers(workers)
-	se.SetWindowPolicy(policy)
 	defer se.Close()
 
 	// Population = active set + a dormant reserve. Reserve actors are
@@ -397,10 +380,9 @@ func runFuzzWorkload(shards, workers, actors int, seed uint64, horizon Time, per
 	for i := 0; i < actors; i++ {
 		se.Shard(i%shards).AtCall(Time(1+int64(splitmix64(seed^uint64(i))%13)), fuzzPeers[i])
 	}
-	// Bound the run one period past the actors' horizon: a bounded run
-	// gives the adaptive policy a finite widen target even when no
-	// global event is pending — the steady-state regime — while every
-	// workload event still fires (self-delays never exceed period+8).
+	// Bound the run one period past the actors' horizon, so the deadline
+	// clipping of the last window is exercised while every workload
+	// event still fires (self-delays never exceed period+8).
 	se.RunUntil(horizon.Add(period + 20))
 
 	var b strings.Builder
@@ -408,24 +390,20 @@ func runFuzzWorkload(shards, workers, actors int, seed uint64, horizon Time, per
 		fmt.Fprintf(&b, "actor=%d events=%d inbox=%x chain=%x last=%d\n", i, a.events, a.inbox, a.chain, a.last)
 	}
 	fmt.Fprintf(&b, "global=%x now=%d pending=%d\n", fuzzGlobal, se.Now(), se.Pending())
-	return b.String(), se.WindowStats()
+	return b.String()
 }
 
 // FuzzShardedDeterminism drives a random actor workload (derived from
-// the fuzz input) at S ∈ {1, 2, 4, 8} with W ∈ {1, S}, under both
-// window policies, and requires byte-identical reports across every
-// combination. The period input sets the workload's self-delay regime
-// as a multiple of the lookahead (0 = dense sub-lookahead churn, the
-// legacy shape; higher ratios give heartbeat-like steady states the
-// adaptive policy actually widens across).
+// the fuzz input) at S ∈ {1, 2, 4, 8} with W ∈ {1, S} and requires
+// byte-identical reports across every combination. The period input
+// sets the workload's self-delay regime as a multiple of the lookahead
+// (0 = dense sub-lookahead churn; higher ratios give heartbeat-like
+// steady states with windows far apart).
 func FuzzShardedDeterminism(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(0))
 	f.Add(uint64(0xdeadbeef), uint8(12), uint8(0))
 	f.Add(uint64(31337), uint8(3), uint8(0))
-	// Batch-plane corpus: seeds chosen to produce dense r%11 batch
-	// events — several in one window, batch events colliding with
-	// window barriers, and barrier-hoisted deliveries racing shard
-	// events at the same instant.
+	// More dense-workload (period 0) seeds.
 	f.Add(uint64(0xba7c4), uint8(15), uint8(0))
 	f.Add(uint64(0x9e3779b9), uint8(11), uint8(0))
 	// Churn corpus: seeds dense in join waves (r%5) and serial fan-outs
@@ -435,11 +413,9 @@ func FuzzShardedDeterminism(f *testing.F) {
 	f.Add(uint64(0x7e57ab1e), uint8(9), uint8(0))
 	f.Add(uint64(0xc0ffee11), uint8(14), uint8(0))
 	f.Add(uint64(0x1234fedc), uint8(7), uint8(0))
-	// Window-policy corpus: heartbeat-like periods (period/lookahead
-	// ratios 2–7) that open wide windows and pin the widen/fall-back
-	// boundaries — global events (r%7) landing exactly at widened hop
-	// ends, join waves (r%5) waking reserves inside a wide window, and
-	// batch events (r%11) forcing mid-steady-state fallbacks.
+	// Steady-state corpus: heartbeat-like periods (period/lookahead
+	// ratios 2–7) with global events (r%7) and join waves (r%5) landing
+	// between sparse windows.
 	f.Add(uint64(0x5ead57a7e), uint8(6), uint8(3))
 	f.Add(uint64(0x7e4b0a7d), uint8(10), uint8(7))
 	f.Add(uint64(0xadab7), uint8(13), uint8(5))
@@ -447,18 +423,16 @@ func FuzzShardedDeterminism(f *testing.F) {
 		actors := 1 + int(nactors%16)
 		horizon := Time(60 + splitmix64(seed)%140)
 		per := Duration(period%8) * 10 // multiples of the lookahead
-		want, _ := runFuzzWorkload(1, 1, actors, seed, horizon, per, WindowFixed)
+		want := runFuzzWorkload(1, 1, actors, seed, horizon, per)
 		for _, s := range []int{1, 2, 4, 8} {
 			for _, w := range []int{1, s} {
-				for _, pol := range []WindowPolicy{WindowFixed, WindowAdaptive} {
-					if s == 1 && w == 1 && pol == WindowFixed {
-						continue // the baseline itself
-					}
-					got, _ := runFuzzWorkload(s, w, actors, seed, horizon, per, pol)
-					if got != want {
-						t.Fatalf("S=%d W=%d window=%v diverged from S=1 W=1 fixed (seed=%#x actors=%d period=%d):\n--- baseline\n%s\n--- S=%d W=%d %v\n%s",
-							s, w, pol, seed, actors, per, want, s, w, pol, got)
-					}
+				if s == 1 && w == 1 {
+					continue // the baseline itself
+				}
+				got := runFuzzWorkload(s, w, actors, seed, horizon, per)
+				if got != want {
+					t.Fatalf("S=%d W=%d diverged from S=1 W=1 (seed=%#x actors=%d period=%d):\n--- baseline\n%s\n--- S=%d W=%d\n%s",
+						s, w, seed, actors, per, want, s, w, got)
 				}
 			}
 		}
