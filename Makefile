@@ -6,7 +6,7 @@
 #                   a 10 s fuzz smoke of the requirement-vector oracle,
 #                   the scenario loader and the sharded engine's
 #                   determinism battery, a short benchmark pass that
-#                   regenerates BENCH_15.json against the BENCH_14.json
+#                   regenerates BENCH_16.json against the BENCH_15.json
 #                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
@@ -59,7 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedDeterminism$$' -fuzztime 10s ./internal/sim
 
-# bench regenerates BENCH_15.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_16.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks — placement, aggregation refresh and greedy CAN
 # routing at d=5 and d=11 (CANRoute) — run at 1000 so the overlay
@@ -71,7 +71,7 @@ fuzz-smoke:
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_14.json entries as baselines; the gate then fails the
+# embedding BENCH_15.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -122,7 +122,7 @@ bench:
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_churn1.txt $(BENCHTMP)_churn2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 15 -prev BENCH_14.json -gate 15 -out BENCH_15.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 16 -prev BENCH_15.json -gate 15 -out BENCH_16.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane

@@ -168,6 +168,9 @@ func (o *Overlay) Node(id NodeID) *Node { return o.nodes[id] }
 // in-tree consumer either re-fetches per use or revalidates against
 // Version() (the ID order itself is load-bearing: scheduler entry-point
 // and churn-victim draws index this slice with seeded RNG streams).
+// It is the sole live-membership list: the protocol simulations keep
+// no sorted ID list of their own, and their host tables are checked
+// against this snapshot, not the other way round.
 func (o *Overlay) Nodes() []*Node {
 	if o.snapValid && o.snapVersion == o.Version() {
 		return o.snap

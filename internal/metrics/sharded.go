@@ -5,8 +5,8 @@ import "io"
 // ShardedPlane adapts per-shard metric facets to an ordinary Plane.
 //
 // A sharded simulation keeps its observable state in per-shard facets
-// (host maps, transport counters) that workers mutate with zero
-// cross-shard sharing inside a parallel window. The plane's sampler is
+// (host counts and views, transport counters) that workers mutate with
+// zero cross-shard sharing inside a parallel window. The plane's sampler is
 // a control-plane actor (Plane.Attach on a sim.ShardedEngine schedules
 // it on the serial global engine), so every sampling pass runs at a
 // window barrier: all shards quiesced, all clocks aligned. At that

@@ -50,9 +50,10 @@ func DefaultChurnConfig(n int, gap sim.Duration) ChurnConfig {
 }
 
 // ChurnSim is the surface the churn driver needs from a protocol
-// simulation: membership operations plus two hooks — ctl() for the
-// engine churn belongs on (the serial engine or the sharded control
-// plane) and dims() for
+// simulation: membership operations, the ground-truth overlay — whose
+// ID-sorted Nodes() snapshot is the one live-membership list, indexed
+// by victim draws — plus two hooks: ctl() for the engine churn belongs
+// on (the serial engine or the sharded control plane) and dims() for
 // drawing join points. Both *Sim and *ShardedSim implement it; external
 // drivers (scenario engines) program against it so one driver covers
 // every engine.
@@ -60,7 +61,7 @@ type ChurnSim interface {
 	JoinNode(p geom.Point, caps *resource.NodeCaps) (*can.Node, error)
 	LeaveVoluntary(id can.NodeID) error
 	Fail(id can.NodeID) error
-	HostIDs() []can.NodeID
+	Overlay() *can.Overlay
 	AliveHosts() int
 	dims() int
 	ctl() *sim.Engine
@@ -172,11 +173,11 @@ func (d *ChurnDriver) join() {
 }
 
 func (d *ChurnDriver) depart() {
-	ids := d.s.HostIDs()
-	if len(ids) == 0 {
+	nodes := d.s.Overlay().Nodes()
+	if len(nodes) == 0 {
 		return
 	}
-	id := ids[d.events.Intn(len(ids))]
+	id := nodes[d.events.Intn(len(nodes))].ID
 	if d.events.Bool(d.cfg.FailFraction) {
 		if d.s.Fail(id) == nil {
 			d.Fails++

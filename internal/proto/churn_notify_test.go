@@ -56,7 +56,7 @@ func TestChurnNotificationsMatchJournal(t *testing.T) {
 	if len(notified) != s.AliveHosts() {
 		t.Fatalf("hooks track %d hosts, ground truth has %d", len(notified), s.AliveHosts())
 	}
-	for _, id := range s.hostIDs() {
+	for _, id := range liveIDs(s.Ov) {
 		if _, ok := notified[id]; !ok {
 			t.Fatalf("alive host %d missing from hook-tracked membership", id)
 		}

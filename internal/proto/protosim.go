@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -22,7 +21,8 @@ type Sim struct {
 	Ov  *can.Overlay
 	Cfg Config
 
-	hosts map[can.NodeID]*Host
+	hosts *hostTable // shared by every shard of a ShardedSim
+	live  int        // hosts in the table owned by this Sim
 	phase *rng.Stream
 
 	// Recycled heartbeat-plane messages (see the send helpers below).
@@ -48,10 +48,11 @@ type Sim struct {
 
 	// Sharded-simulation identity: parent is non-nil when this Sim is
 	// one shard of a ShardedSim (sharing the overlay and a facet
-	// transport), and shard is its index. All cross-shard indirection
-	// (host lookup, message rebinding, control-plane scheduling) hangs
-	// off these two fields; both are nil/zero for a serial Sim, and
-	// every helper below degenerates to the serial behavior.
+	// transport and the host table), and shard is its index. All
+	// cross-shard indirection (message rebinding, control-plane
+	// scheduling) hangs off these two fields; both are nil/zero for a
+	// serial Sim, and every helper below degenerates to the serial
+	// behavior.
 	parent *ShardedSim
 	shard  int
 }
@@ -71,38 +72,81 @@ func NewSimOn(eng *sim.Engine, dims int, cfg Config) *Sim {
 		Net:   netsim.New(eng, cfg.Latency),
 		Ov:    can.NewOverlay(dims),
 		Cfg:   cfg,
-		hosts: make(map[can.NodeID]*Host),
+		hosts: &hostTable{},
 		phase: rng.NewSplit(cfg.Seed, "proto.phase"),
 	}
 	s.Net.SetDeliverable(func(dst can.NodeID) bool {
-		h := s.hosts[dst]
+		h := s.hosts.get(dst)
 		return h != nil && h.alive
 	})
 	return s
 }
 
+// hostTable indexes live protocol hosts by node ID. Overlay IDs are
+// sequential, non-negative and never reused, so the slice stays dense
+// and a lookup is a bounds check and a load; departed nodes leave nil.
+// A ShardedSim's shards share one table. Only membership operations
+// write it, and those run on the control plane with every shard
+// quiesced, so parallel windows read it freely.
+type hostTable struct {
+	byID []*Host
+}
+
+// get returns the live host for id: nil for departed, never-admitted
+// and out-of-range IDs (including the -1 no-merge sentinel).
+func (t *hostTable) get(id can.NodeID) *Host {
+	if id < 0 || id >= can.NodeID(len(t.byID)) {
+		return nil
+	}
+	return t.byID[id]
+}
+
+func (t *hostTable) put(h *Host) {
+	for can.NodeID(len(t.byID)) <= h.id {
+		t.byID = append(t.byID, nil)
+	}
+	t.byID[h.id] = h
+}
+
+// check verifies the table against the overlay, the sole membership
+// source: every live overlay node has an alive host on the Sim that
+// owner returns for it, no host outlives its overlay node, and live
+// (the owning Sims' summed counts) matches the overlay's population.
+func (t *hostTable) check(ov *can.Overlay, owner func(can.NodeID) *Sim, live int) error {
+	nodes := ov.Nodes()
+	for _, n := range nodes {
+		h := t.get(n.ID)
+		switch {
+		case h == nil:
+			return fmt.Errorf("proto: overlay node %d has no host", n.ID)
+		case !h.alive:
+			return fmt.Errorf("proto: host %d is in the table but not alive", n.ID)
+		case h.s != owner(n.ID):
+			return fmt.Errorf("proto: host %d sits on shard %d, not its assigned shard %d", n.ID, h.s.shard, owner(n.ID).shard)
+		}
+	}
+	for id, h := range t.byID {
+		if h != nil && ov.Node(can.NodeID(id)) == nil {
+			return fmt.Errorf("proto: host %d has no live overlay node", id)
+		}
+	}
+	if live != len(nodes) {
+		return fmt.Errorf("proto: %d hosts counted live, overlay has %d nodes", live, len(nodes))
+	}
+	return nil
+}
+
 // Host returns the protocol host for a live node, or nil.
-func (s *Sim) Host(id can.NodeID) *Host { return s.hosts[id] }
+func (s *Sim) Host(id can.NodeID) *Host { return s.hosts.get(id) }
 
 // Overlay returns the ground-truth overlay (the engine-agnostic
 // accessor scenario drivers use; ShardedSim has the same method).
 func (s *Sim) Overlay() *can.Overlay { return s.Ov }
 
-// hostOf resolves a live host across shard boundaries: the serial Sim's
-// own map, or the owning shard's map under a ShardedSim. Safe for
-// concurrent reads during parallel windows (the maps are written only
-// in control phases).
-func (s *Sim) hostOf(id can.NodeID) *Host {
-	if s.parent != nil {
-		return s.parent.hostOf(id)
-	}
-	return s.hosts[id]
-}
-
 // simOf resolves the Sim owning a node's shard (self when serial).
 // Pooled messages are rebound to simOf(dst) at send time so delivery
-// looks up the destination's host map and recycles into the
-// destination's pool — state owned by the destination shard's worker.
+// recycles into the destination's pool — state owned by the
+// destination shard's worker.
 func (s *Sim) simOf(id can.NodeID) *Sim {
 	if s.parent != nil {
 		return s.parent.simOf(id)
@@ -125,22 +169,14 @@ func (s *Sim) ctl() *sim.Engine {
 func (s *Sim) dims() int { return s.Ov.Dims() }
 
 // AliveHosts returns the number of live protocol hosts.
-func (s *Sim) AliveHosts() int { return len(s.hosts) }
+func (s *Sim) AliveHosts() int { return s.live }
 
-// hostIDs returns live host ids in ascending order.
-func (s *Sim) hostIDs() []can.NodeID {
-	ids := make([]can.NodeID, 0, len(s.hosts))
-	for id := range s.hosts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// CheckMembership verifies that the host table and the overlay agree:
+// the same IDs, every host alive. Tests and scenario assertions call
+// it; the overlay's Nodes() snapshot is the membership drivers read.
+func (s *Sim) CheckMembership() error {
+	return s.hosts.check(s.Ov, func(can.NodeID) *Sim { return s }, s.live)
 }
-
-// HostIDs returns the live host ids in ascending order — the stable
-// iteration order external drivers (fault injectors, scenario victim
-// selection) need for deterministic runs.
-func (s *Sim) HostIDs() []can.NodeID { return s.hostIDs() }
 
 // Join admits a node at point p: the ground-truth overlay splits the
 // zone, the splitting owner hands the newcomer the relevant slice of its
@@ -171,7 +207,8 @@ func (s *Sim) JoinNode(p geom.Point, caps *resource.NodeCaps) (*can.Node, error)
 func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 	now := s.Eng.Now()
 	h := newHost(s, node.ID, node.Zone)
-	s.hosts[node.ID] = h
+	s.hosts.put(h)
+	s.live++
 
 	if owner == nil {
 		// First node: owns everything, knows no one.
@@ -179,7 +216,7 @@ func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 		return node
 	}
 
-	oh := s.hostOf(owner.ID)
+	oh := s.hosts.get(owner.ID)
 	// Snapshot the owner's pre-split table into scratch (the announce
 	// loop below still needs it after the view mutates; Records are
 	// stored by value everywhere, so the backing array is reusable).
@@ -221,7 +258,7 @@ func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 		s.Net.Send(nbID, node.ID, AnnounceBytes(s.Ov.Dims()), netsim.KindAnnounce, func(sim.Time) {})
 		h.view.direct(Record{ID: nbID, Zone: nb.Zone.Clone()}, now)
 		// The discovered neighbor learns the newcomer symmetrically.
-		if nh := s.hostOf(nbID); nh != nil && nh.alive {
+		if nh := s.hosts.get(nbID); nh != nil && nh.alive {
 			nh.view.direct(h.selfRecord(), now)
 		}
 	}
@@ -240,7 +277,7 @@ func (s *Sim) completeJoin(node *can.Node, owner *can.Node) *can.Node {
 // LeaveVoluntary removes a node gracefully: it hands its zone and full
 // neighbor table to its predetermined take-over node before departing.
 func (s *Sim) LeaveVoluntary(id can.NodeID) error {
-	h := s.hosts[id]
+	h := s.hosts.get(id)
 	if h == nil {
 		return fmt.Errorf("proto: leave of unknown node %d", id)
 	}
@@ -253,7 +290,8 @@ func (s *Sim) LeaveVoluntary(id can.NodeID) error {
 
 	h.alive = false
 	s.Eng.Cancel(h.tick)
-	delete(s.hosts, id)
+	s.hosts.byID[id] = nil
+	s.live--
 	goneZone := h.zone.Clone()
 
 	if _, err := s.Ov.Leave(id); err != nil {
@@ -269,7 +307,7 @@ func (s *Sim) LeaveVoluntary(id can.NodeID) error {
 	}
 	// Handoff message: the departing node's record plus its table.
 	s.Net.Send(id, takerID, FullMessageBytes(s.Ov.Dims(), len(table)), netsim.KindFull, func(now sim.Time) {
-		taker := s.hostOf(takerID)
+		taker := s.hosts.get(takerID)
 		if taker == nil || !taker.alive {
 			return
 		}
@@ -286,14 +324,15 @@ func (s *Sim) LeaveVoluntary(id can.NodeID) error {
 // tables; under Vanilla everyone has one; a missing or stale copy is
 // precisely what produces lasting broken links.
 func (s *Sim) Fail(id can.NodeID) error {
-	h := s.hosts[id]
+	h := s.hosts.get(id)
 	if h == nil {
 		return fmt.Errorf("proto: fail of unknown node %d", id)
 	}
 	plan, hasPlan := s.Ov.Takeover(id)
 	h.alive = false
 	s.Eng.Cancel(h.tick)
-	delete(s.hosts, id)
+	s.hosts.byID[id] = nil
+	s.live--
 	goneZone := h.zone.Clone()
 
 	if _, err := s.Ov.Leave(id); err != nil {
@@ -318,7 +357,7 @@ func (s *Sim) Fail(id can.NodeID) error {
 		now = c
 	}
 	s.ctl().At(now.Add(s.Cfg.timeout()), func(now sim.Time) {
-		taker := s.hostOf(takerID)
+		taker := s.hosts.get(takerID)
 		if taker == nil || !taker.alive {
 			return
 		}
@@ -348,7 +387,7 @@ func (s *Sim) executeTakeover(now sim.Time, taker *Host, gone can.NodeID, goneZo
 	// When the taker comes from deeper in the sibling subtree, it first
 	// hands its current zone to its pair partner, which merges.
 	if mergedID >= 0 {
-		if mh := s.hostOf(mergedID); mh != nil && mh.alive {
+		if mh := s.hosts.get(mergedID); mh != nil && mh.alive {
 			recs := s.replyTable(now, taker.view) // pooled: consumed at delivery
 			size := FullMessageBytes(s.Ov.Dims(), len(recs))
 			// An envelope, so the delivery interleaves with same-instant
@@ -479,14 +518,23 @@ func (s *Sim) replyTable(now sim.Time, v *view) []Record {
 // hosts (0 with no hosts). Order-independent, so it is safe as a
 // telemetry gauge.
 func (s *Sim) MeanViewSize() float64 {
-	if len(s.hosts) == 0 {
+	entries, hosts := s.viewStats()
+	if hosts == 0 {
 		return 0
 	}
-	total := 0
-	for _, h := range s.hosts {
-		total += len(h.view.entries)
+	return float64(entries) / float64(hosts)
+}
+
+// viewStats returns the total believed-neighbor entries and the count
+// of the live hosts this Sim owns (a shard's share of a shared table).
+func (s *Sim) viewStats() (entries, hosts int) {
+	for _, h := range s.hosts.byID {
+		if h != nil && h.s == s {
+			entries += len(h.view.entries)
+			hosts++
+		}
 	}
-	return float64(total) / float64(len(s.hosts))
+	return entries, hosts
 }
 
 type fullMsg struct {
@@ -501,7 +549,7 @@ func (m *fullMsg) Deliver(now sim.Time) {
 	s, dst, self, table, ranked := m.s, m.dst, m.self, m.table, m.ranked
 	m.table = nil
 	s.fullPool = append(s.fullPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.hosts.get(dst); h != nil {
 		h.receiveFull(now, self, table, ranked)
 	}
 }
@@ -515,9 +563,9 @@ func (s *Sim) sendFull(src, dst can.NodeID, self Record, table []Record, ranked 
 	} else {
 		m = &fullMsg{}
 	}
-	// Rebind to the destination's Sim: delivery then reads the right
-	// host map and recycles into the right pool (each pool has a single
-	// writer — its own shard's worker). Serial: simOf(dst) == s.
+	// Rebind to the destination's Sim: delivery then recycles into the
+	// right pool (each pool has a single writer — its own shard's
+	// worker). Serial: simOf(dst) == s.
 	m.s = s.simOf(dst)
 	m.self, m.table, m.ranked, m.dst = self, table, ranked, dst
 	s.Net.SendMsg(src, dst, FullMessageBytes(s.Ov.Dims(), len(table)), netsim.KindFull, m)
@@ -533,7 +581,7 @@ type compactMsg struct {
 func (m *compactMsg) Deliver(now sim.Time) {
 	s, dst, self, ranked := m.s, m.dst, m.self, m.ranked
 	s.compactPool = append(s.compactPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.hosts.get(dst); h != nil {
 		h.receiveCompact(now, self, ranked)
 	}
 }
@@ -561,7 +609,7 @@ type requestMsg struct {
 func (m *requestMsg) Deliver(now sim.Time) {
 	s, dst, self := m.s, m.dst, m.self
 	s.requestPool = append(s.requestPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.hosts.get(dst); h != nil {
 		h.receiveRequest(now, self)
 	}
 }
@@ -572,7 +620,7 @@ func (m *requestMsg) Deliver(now sim.Time) {
 // believed affected. s must be the partner's own sim, so scratch and
 // pools stay shard-local whichever worker delivers.
 func deliverMergeHandoff(s *Sim, now sim.Time, dst can.NodeID, recs []Record) {
-	m := s.hostOf(dst)
+	m := s.hosts.get(dst)
 	gm := s.Ov.Node(dst)
 	if m == nil || !m.alive || gm == nil {
 		return
@@ -614,7 +662,7 @@ type announceMsg struct {
 func (m *announceMsg) Deliver(now sim.Time) {
 	s, dst, gone, owner := m.s, m.dst, m.gone, m.owner
 	s.announcePool = append(s.announcePool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.hosts.get(dst); h != nil {
 		h.receiveAnnounce(now, gone, owner)
 	}
 }
@@ -652,7 +700,7 @@ type introMsg struct {
 func (m *introMsg) Deliver(now sim.Time) {
 	s, dst, splitter, newbie := m.s, m.dst, m.splitter, m.newbie
 	s.introPool = append(s.introPool, m)
-	if h := s.hosts[dst]; h != nil {
+	if h := s.hosts.get(dst); h != nil {
 		h.receiveAnnounce(now, -1, splitter)
 		h.receiveAnnounce(now, -1, newbie)
 	}
@@ -695,7 +743,7 @@ func (s *Sim) sendRequest(src, dst can.NodeID, self Record) {
 func (s *Sim) BrokenLinks() (missing, stale int) {
 	perFace := s.Cfg.MaxPerFace
 	for _, n := range s.Ov.Nodes() {
-		h := s.hostOf(n.ID)
+		h := s.hosts.get(n.ID)
 		nbrs := s.Ov.BoundedNeighborIDs(n.ID, perFace)
 		if h == nil {
 			missing += len(nbrs)

@@ -83,7 +83,7 @@ func TestVoluntaryLeaveRepairsWithinTimeout(t *testing.T) {
 		s.Eng.RunUntil(d.ChurnStart + sim.Time(2*cfg.HeartbeatPeriod))
 
 		// One graceful leave, then quiet.
-		victim := s.hostIDs()[7]
+		victim := liveIDs(s.Ov)[7]
 		if err := s.LeaveVoluntary(victim); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestFailureRepairsAfterTimeout(t *testing.T) {
 		d.Start()
 		s.Eng.RunUntil(d.ChurnStart + sim.Time(3*cfg.HeartbeatPeriod))
 
-		victim := s.hostIDs()[3]
+		victim := liveIDs(s.Ov)[3]
 		if err := s.Fail(victim); err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestVanillaRedundancyRepairsThirdPartyLinks(t *testing.T) {
 // x (i.e. has x as its take-over target) knows y, and vice versa.
 func severablePair(s *Sim) (x, y *Host, ok bool) {
 	takerOf := make(map[int64][]int64) // taker id -> senders
-	for _, id := range s.hostIDs() {
+	for _, id := range liveIDs(s.Ov) {
 		if plan, ok := s.Ov.Takeover(id); ok {
 			t := int64(plan.Taker.ID)
 			takerOf[t] = append(takerOf[t], int64(id))
@@ -316,7 +316,7 @@ func severablePair(s *Sim) (x, y *Host, ok bool) {
 		}
 		return true
 	}
-	for _, idA := range s.hostIDs() {
+	for _, idA := range liveIDs(s.Ov) {
 		ha := s.Host(idA)
 		for _, idB := range s.Ov.NeighborIDs(idA) {
 			hb := s.Host(idB)

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"runtime"
-	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/geom"
@@ -43,8 +42,12 @@ type ShardedSim struct {
 	Ov  *can.Overlay
 	Cfg Config
 
-	shards    []*Sim
-	nodeShard map[can.NodeID]int // assigned at join, retained past departure
+	shards []*Sim
+	hosts  *hostTable // shared by every shard; written on the control plane only
+	// nodeShard is indexed by node ID like the host table: assigned at
+	// join, retained past departure (messages to a departed node still
+	// route to its old shard and are dropped there).
+	nodeShard []int32
 }
 
 // NewShardedSim creates an S-shard protocol simulation of a
@@ -61,12 +64,12 @@ func NewShardedSim(shards, workers, dims int, cfg Config) *ShardedSim {
 	se.SetWorkers(workers)
 	snet := netsim.NewSharded(se, cfg.Latency)
 	ss := &ShardedSim{
-		SE:        se,
-		Net:       snet,
-		Ov:        can.NewOverlay(dims),
-		Cfg:       cfg,
-		shards:    make([]*Sim, shards),
-		nodeShard: make(map[can.NodeID]int),
+		SE:     se,
+		Net:    snet,
+		Ov:     can.NewOverlay(dims),
+		Cfg:    cfg,
+		shards: make([]*Sim, shards),
+		hosts:  &hostTable{},
 	}
 	// One phase stream shared by every shard, with the serial Sim's
 	// split label. It is drawn from only inside completeJoin — a
@@ -81,7 +84,7 @@ func NewShardedSim(shards, workers, dims int, cfg Config) *ShardedSim {
 			Net:    snet.Facet(i),
 			Ov:     ss.Ov,
 			Cfg:    cfg,
-			hosts:  make(map[can.NodeID]*Host),
+			hosts:  ss.hosts,
 			phase:  phase,
 			parent: ss,
 			shard:  i,
@@ -89,7 +92,7 @@ func NewShardedSim(shards, workers, dims int, cfg Config) *ShardedSim {
 	}
 	snet.SetShardOf(ss.shardID)
 	snet.SetDeliverable(func(dst can.NodeID) bool {
-		h := ss.hostOf(dst)
+		h := ss.hosts.get(dst)
 		return h != nil && h.alive
 	})
 	return ss
@@ -122,15 +125,10 @@ func (ss *ShardedSim) shardOfPoint(p geom.Point) int {
 // the facet's liveness check then drops the message, mirroring the
 // serial unknown-destination path).
 func (ss *ShardedSim) shardID(id can.NodeID) int {
-	if sh, ok := ss.nodeShard[id]; ok {
-		return sh
+	if id < 0 || id >= can.NodeID(len(ss.nodeShard)) {
+		return 0
 	}
-	return 0
-}
-
-// hostOf returns the live host for id, or nil.
-func (ss *ShardedSim) hostOf(id can.NodeID) *Host {
-	return ss.shards[ss.shardID(id)].hosts[id]
+	return int(ss.nodeShard[id])
 }
 
 // simOf returns the Sim owning id's shard.
@@ -139,7 +137,7 @@ func (ss *ShardedSim) simOf(id can.NodeID) *Sim {
 }
 
 // Host returns the protocol host for a live node, or nil.
-func (ss *ShardedSim) Host(id can.NodeID) *Host { return ss.hostOf(id) }
+func (ss *ShardedSim) Host(id can.NodeID) *Host { return ss.hosts.get(id) }
 
 // Overlay returns the shared ground-truth overlay (scenario engines and
 // telemetry hang capability lookups off it).
@@ -149,33 +147,28 @@ func (ss *ShardedSim) Overlay() *can.Overlay { return ss.Ov }
 func (ss *ShardedSim) AliveHosts() int {
 	n := 0
 	for _, s := range ss.shards {
-		n += len(s.hosts)
+		n += s.live
 	}
 	return n
 }
 
-// HostIDs returns all live host ids in ascending order.
-func (ss *ShardedSim) HostIDs() []can.NodeID {
-	ids := make([]can.NodeID, 0, ss.AliveHosts())
-	for _, s := range ss.shards {
-		for id := range s.hosts {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// CheckMembership verifies that the shared host table and the overlay
+// agree: the same IDs, every host alive and owned by the shard
+// nodeShard names. Tests and scenario assertions call it.
+func (ss *ShardedSim) CheckMembership() error {
+	return ss.hosts.check(ss.Ov, ss.simOf, ss.AliveHosts())
 }
 
 // MeanViewSize reports the mean believed-neighbor count across all live
 // hosts.
 func (ss *ShardedSim) MeanViewSize() float64 {
-	total, hosts := 0, 0
-	for _, s := range ss.shards {
-		hosts += len(s.hosts)
-		for _, h := range s.hosts {
+	total := 0
+	for _, h := range ss.hosts.byID {
+		if h != nil {
 			total += len(h.view.entries)
 		}
 	}
+	hosts := ss.AliveHosts()
 	if hosts == 0 {
 		return 0
 	}
@@ -184,18 +177,14 @@ func (ss *ShardedSim) MeanViewSize() float64 {
 
 // ShardAliveHosts returns shard i's live host count. Control-plane (or
 // quiesced-engine) use only — the telemetry facet reader.
-func (ss *ShardedSim) ShardAliveHosts(i int) int { return len(ss.shards[i].hosts) }
+func (ss *ShardedSim) ShardAliveHosts(i int) int { return ss.shards[i].live }
 
 // ShardViewStats returns shard i's total believed-neighbor entries and
 // its live host count, the per-facet numerator and denominator of the
 // global mean view size (Σentries/Σhosts == MeanViewSize). Control-plane
 // use only.
 func (ss *ShardedSim) ShardViewStats(i int) (entries, hosts int) {
-	s := ss.shards[i]
-	for _, h := range s.hosts {
-		entries += len(h.view.entries)
-	}
-	return entries, len(s.hosts)
+	return ss.shards[i].viewStats()
 }
 
 // Join admits a capability-less node at point p (control plane).
@@ -214,7 +203,10 @@ func (ss *ShardedSim) JoinNode(p geom.Point, caps *resource.NodeCaps) (*can.Node
 		return nil, err
 	}
 	sh := ss.shardOfPoint(p)
-	ss.nodeShard[node.ID] = sh
+	for can.NodeID(len(ss.nodeShard)) <= node.ID {
+		ss.nodeShard = append(ss.nodeShard, 0)
+	}
+	ss.nodeShard[node.ID] = int32(sh)
 	return ss.shards[sh].completeJoin(node, owner), nil
 }
 
@@ -242,13 +234,12 @@ func (ss *ShardedSim) BrokenLinks() (missing, stale int) {
 	type part struct{ missing, stale int }
 	parts := make([]part, len(ss.shards))
 	ss.SE.ParallelShards(func(sh int) {
-		s := ss.shards[sh]
 		var miss, st int
 		for _, n := range nodes {
 			if ss.shardID(n.ID) != sh {
 				continue
 			}
-			h := s.hosts[n.ID]
+			h := ss.hosts.get(n.ID)
 			nbrs := ss.Ov.BoundedNeighborIDs(n.ID, perFace)
 			if h == nil {
 				miss += len(nbrs)

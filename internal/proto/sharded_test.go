@@ -28,7 +28,7 @@ func shardedBatteryConfig(scheme Scheme, seed int64) (Config, ChurnConfig) {
 // flavor.
 type batterySim interface {
 	linkOracle
-	HostIDs() []can.NodeID
+	Overlay() *can.Overlay
 	MeanViewSize() float64
 }
 
@@ -37,7 +37,7 @@ type batterySim interface {
 // traffic digest — into one comparable string.
 func shardedBatteryReport(s batterySim, total, window netsim.Counters, kind func(netsim.Kind) netsim.Counters, d *ChurnDriver, samples []SamplePoint) string {
 	var b strings.Builder
-	ids := s.HostIDs()
+	ids := liveIDs(s.Overlay())
 	missing, stale := s.BrokenLinks()
 	fmt.Fprintf(&b, "alive=%d mean_view=%.6f missing=%d stale=%d\n", s.AliveHosts(), s.MeanViewSize(), missing, stale)
 	fmt.Fprintf(&b, "churn joins=%d leaves=%d fails=%d start=%d\n", d.Joins, d.Leaves, d.Fails, d.ChurnStart)
@@ -148,7 +148,7 @@ func TestShardedSimCrossShardTraffic(t *testing.T) {
 	ss.RunUntil(20 * sim.Time(sim.Second))
 	populated := 0
 	for i := 0; i < ss.Shards(); i++ {
-		if len(ss.Shard(i).hosts) > 0 {
+		if ss.ShardAliveHosts(i) > 0 {
 			populated++
 		}
 	}

@@ -5,8 +5,6 @@ package scenario
 // full report so a failing scenario shows every broken contract at
 // once, not just the first.
 
-import "hetgrid/internal/can"
-
 func (w *World) assertEndState() {
 	a := &w.spec.Assert
 
@@ -55,24 +53,23 @@ func (w *World) assertEndState() {
 	}
 }
 
-// assertNoOrphans checks that the execution plane and the overlay agree
-// on membership: every runtime corresponds to a live overlay node and
-// vice versa. A mismatch means a failure path tore down one plane but
-// not the other.
+// assertNoOrphans checks that the three membership views agree: the
+// protocol hosts match the overlay (the protocol plane's own check),
+// every runtime corresponds to a live overlay node, and vice versa. A
+// mismatch means a failure path tore down one plane but not the other.
 func (w *World) assertNoOrphans() {
-	overlay := make(map[can.NodeID]bool)
-	for _, id := range w.psim.HostIDs() {
-		overlay[id] = true
+	if err := w.psim.CheckMembership(); err != nil {
+		w.violate("no_orphans: %v", err)
 	}
+	ov := w.psim.Overlay()
 	for _, r := range w.cluster.Runtimes() {
-		if !overlay[r.ID] {
+		if ov.Node(r.ID) == nil {
 			w.violate("no_orphans: runtime %d has no live overlay node", r.ID)
 		}
-		delete(overlay, r.ID)
 	}
-	for _, id := range w.psim.HostIDs() {
-		if overlay[id] {
-			w.violate("no_orphans: overlay node %d has no runtime", id)
+	for _, n := range ov.Nodes() {
+		if w.cluster.Runtime(n.ID) == nil {
+			w.violate("no_orphans: overlay node %d has no runtime", n.ID)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func (w *World) scheduleEvent(ev *Event, idx int) {
 			if ev.Rack >= 0 {
 				w.part.Isolate(w.rackMembers(ev.Rack)...)
 			} else {
-				n := int(float64(len(w.aliveIDs()))*ev.Fraction + 0.5)
+				n := int(float64(w.psim.AliveHosts())*ev.Fraction + 0.5)
 				w.part.Isolate(w.pickVictims(n)...)
 			}
 			w.snapshot(now, "partition")

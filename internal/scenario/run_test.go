@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -169,5 +170,51 @@ assert:
 	}
 	if !strings.Contains(res.Report, "FAIL (2 violations)") {
 		t.Errorf("report lacks FAIL banner:\n%s", res.Report)
+	}
+}
+
+// TestNoOrphansChecksEveryPlane breaks membership behind the planes'
+// backs and requires no_orphans to name each drift, on both engines:
+// a runtime the overlay lacks, an overlay node with no runtime, and a
+// protocol host the overlay no longer has.
+func TestNoOrphansChecksEveryPlane(t *testing.T) {
+	for _, engine := range []string{"serial", "sharded"} {
+		w, err := NewWorld(mustLoad(t, `
+name: orphans
+seed: 3
+duration: 1m
+engine: `+engine+`
+grid:
+  nodes: 12
+assert:
+  no_orphans: true
+`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.ssim != nil {
+			defer w.ssim.Close()
+		}
+		w.assertNoOrphans()
+		if len(w.violations) != 0 {
+			t.Fatalf("%s: clean world reports %v", engine, w.violations)
+		}
+		nodes := w.psim.Overlay().Nodes()
+		drained, gone := nodes[2].ID, nodes[5].ID
+		w.cluster.RemoveNode(drained)
+		if _, err := w.psim.Overlay().Leave(gone); err != nil {
+			t.Fatal(err)
+		}
+		w.assertNoOrphans()
+		got := strings.Join(w.violations, "\n")
+		for _, want := range []string{
+			fmt.Sprintf("host %d has no live overlay node", gone),
+			fmt.Sprintf("runtime %d has no live overlay node", gone),
+			fmt.Sprintf("overlay node %d has no runtime", drained),
+		} {
+			if !strings.Contains(got, want) {
+				t.Errorf("%s: violations lack %q:\n%s", engine, want, got)
+			}
+		}
 	}
 }

@@ -32,9 +32,9 @@ import (
 // parallel conservative windows).
 type protoPlane interface {
 	proto.ChurnSim
-	Overlay() *can.Overlay
 	MeanViewSize() float64
 	BrokenLinks() (missing, stale int)
+	CheckMembership() error
 }
 
 // protoNet is the transport surface a world needs: fault injection for
@@ -287,8 +287,16 @@ func (w *World) violate(format string, args ...any) {
 	w.violations = append(w.violations, fmt.Sprintf(format, args...))
 }
 
-// aliveIDs returns the live host ids in ascending order.
-func (w *World) aliveIDs() []can.NodeID { return w.psim.HostIDs() }
+// aliveIDs returns a fresh copy of the live node ids in ascending
+// order, read from the overlay's membership snapshot.
+func (w *World) aliveIDs() []can.NodeID {
+	nodes := w.psim.Overlay().Nodes()
+	ids := make([]can.NodeID, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	return ids
+}
 
 // pickVictims draws k distinct random victims from the live set,
 // deterministically from the victim stream.
