@@ -4,9 +4,10 @@
 #                   vet, race tests,
 #                   the end-to-end benchmark harness's own tests (bench/),
 #                   a 10 s fuzz smoke of the requirement-vector oracle,
-#                   the scenario loader and the sharded engine's
-#                   determinism battery, a short benchmark pass that
-#                   regenerates BENCH_16.json against the BENCH_15.json
+#                   the scenario loader, the sharded engine's
+#                   determinism battery and the aggregation table's
+#                   churn differential, a short benchmark pass that
+#                   regenerates BENCH_17.json against the BENCH_16.json
 #                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
@@ -47,19 +48,22 @@ race:
 bench-harness:
 	$(GO) -C bench test ./...
 
-# fuzz-smoke runs three fuzz targets for 10 s each past their committed
+# fuzz-smoke runs four fuzz targets for 10 s each past their committed
 # seed corpora (which `go test` already replays): FuzzJobReq compares
 # the type-sorted CE requirement vector with its map-keyed oracle,
 # FuzzScenarioLoad feeds mutated scenario YAML through parse, decode and
-# validate, which must return errors, never panic, and
+# validate, which must return errors, never panic,
 # FuzzShardedDeterminism requires a random actor workload to report
-# byte-identically at every (S, W).
+# byte-identically at every (S, W), and FuzzChurnIncremental requires
+# the aggregation table, synchronized across random churn and refresh
+# boundaries, to match a full recompute bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobReq$$' -fuzztime 10s ./internal/resource
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedDeterminism$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzChurnIncremental$$' -fuzztime 10s ./internal/sched
 
-# bench regenerates BENCH_16.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_17.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks — placement, aggregation refresh and greedy CAN
 # routing at d=5 and d=11 (CANRoute) — run at 1000 so the overlay
@@ -71,7 +75,7 @@ fuzz-smoke:
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_15.json entries as baselines; the gate then fails the
+# embedding BENCH_16.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -122,7 +126,7 @@ bench:
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_churn1.txt $(BENCHTMP)_churn2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 16 -prev BENCH_15.json -gate 15 -out BENCH_16.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 17 -prev BENCH_16.json -gate 15 -out BENCH_17.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -135,7 +139,7 @@ bench-xl:
 
 # bench-xxl is the churn-regime smoke two orders past the paper's
 # evaluation: one full 100,000-node load-balance run, the
-# 100k-population churn-storm comparison (journal splice vs full
+# 100k-population churn-storm comparison (membership sync vs full
 # rebuild), and two sharded-core speedup pairs over identical 100k-node
 # workloads at one worker and at GOMAXPROCS — pure heartbeats
 # (ShardedHeartbeat100k) and heartbeats under sustained churn
@@ -143,9 +147,9 @@ bench-xl:
 # log is the engine's parallel speedup on this runner.
 # Ungated like bench-xl — single iterations are too noisy to gate, and
 # the 10k ChurnStorm entry in the BENCH_*.json gate already pins the
-# splice path's cost — but the run fails outright if the splice path
-# stops engaging (the benchmark asserts every refresh spliced) or if
-# the churn storm never injects a failure. The generous timeout is
+# sync path's cost — but the run fails outright if the sync path stops
+# engaging (the benchmark asserts every refresh synchronized membership)
+# or if the churn storm never injects a failure. The generous timeout is
 # headroom for slow shared runners.
 bench-xxl:
 	$(GO) test -run '^$$' -bench 'ScaleXXLLoadBalance|ChurnStormXXL|ShardedHeartbeat100k|ChurnStormSharded100k' \

@@ -508,10 +508,10 @@ func BenchmarkAggRefresh(b *testing.B) {
 //	  nothing (b.ReportAllocs).
 //	alldirty — the full O(n·d) load rebuild at identical size: the
 //	  pre-incremental baseline the speedup is measured against.
-//	churn — a refresh right after a leave+join pair: a two-event
-//	  journal splice plus the linear Fenwick reconstruction (the
-//	  membership-delta path; BenchmarkChurnStorm measures it against
-//	  the full-rebuild baseline it replaced).
+//	churn — a refresh right after a leave+join pair: a membership
+//	  sync of the handful of changed nodes plus the linear Fenwick
+//	  reconstruction (BenchmarkChurnStorm measures it against the
+//	  full-rebuild baseline it replaced).
 func BenchmarkAggRefreshIncremental(b *testing.B) {
 	const (
 		dims = 4
@@ -612,11 +612,12 @@ func BenchmarkAggRefreshIncremental(b *testing.B) {
 // benchChurnStorm measures what one sustained-churn round costs the
 // aggregation plane at population n: every iteration departs one node
 // and admits another (two overlay versions), then brings a table up to
-// date. The incremental sub-bench takes the journal-splice path —
-// O(d·log n) search plus tail memmove per event and one linear Fenwick
-// reconstruction — while fullrebuild pays the per-dimension re-sort
-// plus load sweep the splice replaced. The mutation itself runs outside
-// the timer, so the two sub-benches compare exactly the refresh cost.
+// date. The incremental sub-bench takes the membership sync — a
+// binary search per changed node, one merge pass per dimension and one
+// linear Fenwick reconstruction — while fullrebuild pays the
+// per-dimension re-sort plus load sweep the sync replaced. The mutation
+// itself runs outside the timer, so the two sub-benches compare exactly
+// the refresh cost.
 func benchChurnStorm(b *testing.B, n int) {
 	const dims = 4
 	eng := sim.New()
@@ -669,7 +670,7 @@ func benchChurnStorm(b *testing.B, n int) {
 		}
 		b.StopTimer()
 		if st := agg.Stats(); st.ChurnRefreshes < int64(b.N) {
-			b.Fatalf("only %d of %d refreshes took the splice path", st.ChurnRefreshes, b.N)
+			b.Fatalf("only %d of %d refreshes synchronized membership", st.ChurnRefreshes, b.N)
 		}
 	})
 	b.Run("fullrebuild", func(b *testing.B) {
@@ -696,8 +697,8 @@ func BenchmarkChurnStorm(b *testing.B) {
 // BenchmarkChurnStormXXL repeats the churn-storm comparison at the
 // 100,000-node ScaleXXL population. Run via `make bench-xxl`; at this
 // size the full-rebuild baseline is two decimal orders slower than the
-// splice, so the benchmark is ungated and excluded from the default
-// `make bench` wall-clock budget.
+// membership sync, so the benchmark is ungated and excluded from the
+// default `make bench` wall-clock budget.
 func BenchmarkChurnStormXXL(b *testing.B) {
 	benchChurnStorm(b, experiments.ScaleXXLNodes)
 }

@@ -1,6 +1,7 @@
 package can
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -66,114 +67,147 @@ func TestSnapshotDeltaProperty(t *testing.T) {
 	}
 }
 
-// replayMembership folds a churn event into an id set, the way a
-// journal consumer tracks membership.
-func replayMembership(set map[NodeID]struct{}, ev ChurnEvent) {
-	if ev.Left != NoneID {
-		delete(set, ev.Left)
+// stampSnapshot is the membership a consumer synchronized at version v
+// would hold: every live node's zone, copied.
+type stampSnapshot struct {
+	v     uint64
+	zones map[NodeID]geom.Zone
+}
+
+func takeStampSnapshot(o *Overlay) stampSnapshot {
+	sn := stampSnapshot{v: o.Version(), zones: make(map[NodeID]geom.Zone, o.Len())}
+	for _, n := range o.Nodes() {
+		sn.zones[n.ID] = n.Zone.Clone()
 	}
-	if ev.Joined != NoneID {
-		set[ev.Joined] = struct{}{}
+	return sn
+}
+
+// checkChanged asserts the AppendChanged contract against snapshot sn:
+// the result is strictly ascending and contains every ID that joined
+// after sn.v (joinedAt records each ID's join version), every ID that
+// was live at sn.v and has since left, and every surviving ID whose
+// zone differs from its snapshot.
+func checkChanged(t *testing.T, o *Overlay, sn stampSnapshot, joinedAt map[NodeID]uint64) {
+	t.Helper()
+	got := o.AppendChanged(nil, sn.v)
+	in := make(map[NodeID]bool, len(got))
+	for i, id := range got {
+		if i > 0 && got[i-1] >= id {
+			t.Fatalf("AppendChanged(%d) not ascending at %d: %v", sn.v, i, got)
+		}
+		in[id] = true
+	}
+	for id, v := range joinedAt {
+		if v > sn.v && !in[id] {
+			t.Fatalf("node %d joined at version %d, missing from AppendChanged(%d)", id, v, sn.v)
+		}
+	}
+	for id, z := range sn.zones {
+		n := o.Node(id)
+		switch {
+		case n == nil && !in[id]:
+			t.Fatalf("node %d left after version %d, missing from AppendChanged", id, sn.v)
+		case n != nil && !n.Zone.Equal(z) && !in[id]:
+			t.Fatalf("node %d changed zone after version %d, missing from AppendChanged", id, sn.v)
+		}
 	}
 }
 
-// TestChurnJournalReplay checks that replaying ChurnSince deltas
-// reconstructs the live membership exactly, that every zone-changed
-// reference in an event pointed at a node alive immediately after that
-// event, and that the joined/left slots are mutually exclusive.
-func TestChurnJournalReplay(t *testing.T) {
+// TestChangeStampProperty drives random joins and leaves — plus, per
+// seed, a chained-point phase that keeps producing deepest-pair
+// take-overs (the TestLeaveDuringMergeChain geometry) and a full drain
+// through the root leave — while holding zone snapshots taken at random
+// synchronization versions. After every mutation, AppendChanged from
+// each held version must cover every join, leave and zone rewrite since
+// then, and AppendChanged from the current version must be empty.
+func TestChangeStampProperty(t *testing.T) {
 	const dims = 2
-	o := NewOverlay(dims)
-	s := rng.New(42)
-	have := make(map[NodeID]struct{})
-	synced := uint64(0)
-	var live []NodeID
-	for step := 0; step < 300; step++ {
-		if len(live) == 0 || s.Float64() < 0.55 {
-			if n, err := o.Join(randomPoint(s, dims), nil); err == nil {
-				live = append(live, n.ID)
+	chain := []geom.Point{
+		{0.05, 0.5}, {0.95, 0.5}, {0.55, 0.5}, {0.75, 0.5},
+		{0.65, 0.5}, {0.85, 0.5}, {0.60, 0.5}, {0.70, 0.5},
+	}
+	for _, seed := range []int64{3, 4, 5} {
+		o := NewOverlay(dims)
+		s := rng.New(seed)
+		joinedAt := make(map[NodeID]uint64)
+		var snaps []stampSnapshot
+		merged, rootLeaves := 0, 0
+		step := func(k int) {
+			t.Helper()
+			if len(snaps) < 6 && s.Bool(0.2) {
+				snaps = append(snaps, takeStampSnapshot(o))
+			} else if len(snaps) > 0 && s.Bool(0.1) {
+				snaps = slices.Delete(snaps, 0, 1)
 			}
-		} else {
-			i := s.Intn(len(live))
-			id := live[i]
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			if _, err := o.Leave(id); err != nil {
-				t.Fatalf("step %d: leave(%d): %v", step, id, err)
+			for _, sn := range snaps {
+				checkChanged(t, o, sn, joinedAt)
+			}
+			if got := o.AppendChanged(nil, o.Version()); len(got) != 0 {
+				t.Fatalf("seed %d step %d: AppendChanged(Version()) = %v, want empty", seed, k, got)
 			}
 		}
-		if step%3 != 0 {
-			continue // let deltas batch up across several versions
-		}
-		ok := o.ChurnSince(synced, func(ev ChurnEvent) {
-			if ev.Joined != NoneID && ev.Left != NoneID {
-				t.Fatalf("event claims both a join (%d) and a leave (%d)", ev.Joined, ev.Left)
-			}
-			if ev.Joined == NoneID && ev.Left == NoneID {
-				t.Fatal("event with neither join nor leave")
-			}
-			replayMembership(have, ev)
-			for _, zid := range ev.ZoneChanged {
-				if zid == NoneID {
-					continue
-				}
-				if _, alive := have[zid]; !alive {
-					t.Fatalf("event reports zone change of node %d not in replayed membership", zid)
-				}
-			}
-		})
-		if !ok {
-			t.Fatalf("step %d: journal gap within %d-step window", step, 3)
-		}
-		synced = o.Version()
-		if len(have) != o.Len() {
-			t.Fatalf("step %d: replayed membership has %d nodes, overlay has %d", step, len(have), o.Len())
-		}
-		for _, n := range o.Nodes() {
-			if _, okm := have[n.ID]; !okm {
-				t.Fatalf("step %d: live node %d missing from replayed membership", step, n.ID)
+		join := func(p geom.Point) {
+			if n, err := o.Join(p, nil); err == nil {
+				joinedAt[n.ID] = o.Version()
 			}
 		}
-	}
-}
-
-// TestChurnJournalGap checks the all-or-nothing fallback contract: a
-// consumer further behind than the retained window gets false and no
-// callbacks; a consumer exactly at the current version gets a
-// successful no-op; a future version is rejected.
-func TestChurnJournalGap(t *testing.T) {
-	o := NewOverlay(2)
-	s := rng.New(7)
-	for i := 0; i < minJournalCap+50; i++ {
-		for try := 0; try < 4; try++ {
-			if _, err := o.Join(randomPoint(s, 2), nil); err == nil {
-				break
+		leave := func(id NodeID) {
+			t.Helper()
+			plan, err := o.Leave(id)
+			if err != nil {
+				t.Fatalf("seed %d: leave(%d): %v", seed, id, err)
+			}
+			if plan.Merged != nil {
+				merged++
+			}
+			if plan.Taker == nil {
+				rootLeaves++
 			}
 		}
-	}
-	v := o.Version()
-	calls := 0
-	if o.ChurnSince(0, func(ChurnEvent) { calls++ }) {
-		t.Fatal("gap beyond the retained window reported success")
-	}
-	if calls != 0 {
-		t.Fatalf("failed ChurnSince invoked the callback %d times", calls)
-	}
-	if !o.ChurnSince(v, func(ChurnEvent) { calls++ }) || calls != 0 {
-		t.Fatal("ChurnSince at the current version must be a successful no-op")
-	}
-	if o.ChurnSince(v+1, func(ChurnEvent) {}) {
-		t.Fatal("ChurnSince from a future version reported success")
-	}
-	if !o.ChurnSince(v-5, func(ChurnEvent) { calls++ }) || calls != 5 {
-		t.Fatalf("in-window replay delivered %d events, want 5", calls)
+		k := 0
+		// Phase 1: random churn around a growing population.
+		for ; k < 150; k++ {
+			if o.Len() < 3 || s.Bool(0.6) {
+				join(randomPoint(s, dims))
+			} else {
+				nodes := o.Nodes()
+				leave(nodes[s.Intn(len(nodes))].ID)
+			}
+			step(k)
+		}
+		// Phase 2: a chain of collinear joins, then drain the chain
+		// members shallowest-first so take-overs come from deep pairs.
+		first := NodeID(len(o.changedAt))
+		for _, p := range chain {
+			join(p)
+			step(k)
+			k++
+		}
+		for id := first; id < NodeID(len(o.changedAt)); id++ {
+			if o.Node(id) != nil {
+				leave(id)
+				step(k)
+				k++
+			}
+		}
+		// Phase 3: drain everything, down through the root leave.
+		for o.Len() > 0 {
+			nodes := o.Nodes()
+			leave(nodes[s.Intn(len(nodes))].ID)
+			step(k)
+			k++
+		}
+		if merged == 0 || rootLeaves == 0 {
+			t.Fatalf("seed %d: %d deepest-pair take-overs, %d root leaves; the property is not exercising them",
+				seed, merged, rootLeaves)
+		}
 	}
 }
 
 // TestLeaveRootNeverSplit is the regression test for leaving nodes
 // whose leaf has no parent — the root/never-split geometry: a
-// single-node overlay empties, accepts a fresh join, and the journal
-// and snapshot stay coherent through the empty state.
+// single-node overlay empties, accepts a fresh join, and the change
+// stamps and snapshot stay coherent through the empty state.
 func TestLeaveRootNeverSplit(t *testing.T) {
 	o := NewOverlay(2)
 	_ = o.Nodes() // force delta maintenance from the start
@@ -197,13 +231,16 @@ func TestLeaveRootNeverSplit(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Journal must carry the drain and the rebirth.
-	var events []ChurnEvent
-	if !o.ChurnSince(0, func(ev ChurnEvent) { events = append(events, ev) }) {
-		t.Fatal("journal gap after two events")
+	// The stamps must carry the join and the drain: the node changed at
+	// version 1 (its join) and again at version 2 (its leave).
+	if got := o.AppendChanged(nil, 0); len(got) != 1 || got[0] != n.ID {
+		t.Fatalf("AppendChanged(0) = %v, want [%d]", got, n.ID)
 	}
-	if len(events) != 2 || events[0].Joined != n.ID || events[1].Left != n.ID {
-		t.Fatalf("journal = %+v, want join then leave of node %d", events, n.ID)
+	if got := o.AppendChanged(nil, 1); len(got) != 1 || got[0] != n.ID {
+		t.Fatalf("AppendChanged(1) = %v, want the leave of node %d", got, n.ID)
+	}
+	if got := o.AppendChanged(nil, o.Version()); len(got) != 0 {
+		t.Fatalf("AppendChanged(Version()) = %v, want empty", got)
 	}
 	m, err := o.Join(geom.Point{0.25, 0.75}, nil)
 	if err != nil {

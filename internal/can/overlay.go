@@ -112,14 +112,11 @@ type Overlay struct {
 	snapVersion uint64
 	snapValid   bool
 
-	// Churn journal (journal.go): ring of per-version membership deltas
-	// replayed by ChurnSince. journalCap is the ring's current capacity
-	// (grown with the population, never shrunk); journalLen counts the
-	// events actually recorded, capped at journalCap — the retained
-	// window ChurnSince can serve.
-	journal    []ChurnEvent
-	journalCap int
-	journalLen int
+	// changedAt holds, indexed by NodeID, the version of that node's
+	// last join, zone rewrite or leave. IDs are dense and never reused,
+	// so a consumer that last synchronized at version v finds every
+	// membership change since then in one scan (AppendChanged).
+	changedAt []uint64
 
 	// Counters for diagnostics.
 	joins, leaves, takeoverMoves int
@@ -144,8 +141,33 @@ func (o *Overlay) Dims() int { return o.dims }
 // and leave. Zones only ever change as part of a join or leave (splits,
 // take-overs and merges all happen inside those operations), so a cache
 // keyed on Version pins both the node set and every node's zone. The
-// schedulers use it to reuse sorted indexes between churn events.
+// schedulers use it to reuse sorted indexes between churn events, and
+// AppendChanged to catch them up across churn.
 func (o *Overlay) Version() uint64 { return uint64(o.joins) + uint64(o.leaves) }
+
+// stamp records that node id joined, left or had its zone rewritten in
+// the version step just completed (o.Version() already reflects it).
+func (o *Overlay) stamp(id NodeID) {
+	for NodeID(len(o.changedAt)) <= id {
+		o.changedAt = append(o.changedAt, 0)
+	}
+	o.changedAt[id] = o.Version()
+}
+
+// AppendChanged appends to dst, in ascending order, the ID of every
+// node that joined, left or had its zone rewritten after version since,
+// and returns the extended slice. A node that joined and left within
+// the window is included although it is no longer live; since ==
+// Version() yields nothing, and since == 0 yields every ID ever
+// admitted.
+func (o *Overlay) AppendChanged(dst []NodeID, since uint64) []NodeID {
+	for id, v := range o.changedAt {
+		if v > since {
+			dst = append(dst, NodeID(id))
+		}
+	}
+	return dst
+}
 
 // Len returns the number of live nodes.
 func (o *Overlay) Len() int { return len(o.nodes) }
@@ -245,7 +267,7 @@ func (o *Overlay) Join(p geom.Point, caps *resource.NodeCaps) (*Node, error) {
 		o.addView(n.ID)
 		o.joins++
 		o.snapJoin(n)
-		o.recordChurn(ChurnEvent{Joined: n.ID, Left: NoneID, ZoneChanged: [2]NodeID{NoneID, NoneID}})
+		o.stamp(n.ID)
 		return n, nil
 	}
 
@@ -281,7 +303,8 @@ func (o *Overlay) Join(p geom.Point, caps *resource.NodeCaps) (*Node, error) {
 	o.rewireAfterJoin(owner, n)
 	o.joins++
 	o.snapJoin(n)
-	o.recordChurn(ChurnEvent{Joined: n.ID, Left: NoneID, ZoneChanged: [2]NodeID{owner.ID, NoneID}})
+	o.stamp(owner.ID)
+	o.stamp(n.ID)
 	return n, nil
 }
 
@@ -401,7 +424,7 @@ func (o *Overlay) Leave(id NodeID) (TakeoverPlan, error) {
 		// Last node: the overlay becomes empty.
 		o.root = nil
 		o.removeNodeState(id)
-		o.recordChurn(ChurnEvent{Joined: NoneID, Left: id, ZoneChanged: [2]NodeID{NoneID, NoneID}})
+		o.stamp(id)
 		return TakeoverPlan{}, nil
 	}
 
@@ -425,7 +448,8 @@ func (o *Overlay) Leave(id NodeID) (TakeoverPlan, error) {
 		plan.Taker.leaf = parent
 		o.removeNodeState(id)
 		o.rewireAfterLeave(affectedBefore, plan)
-		o.recordChurn(ChurnEvent{Joined: NoneID, Left: id, ZoneChanged: [2]NodeID{plan.Taker.ID, NoneID}})
+		o.stamp(id)
+		o.stamp(plan.Taker.ID)
 		return plan, nil
 	}
 
@@ -436,7 +460,9 @@ func (o *Overlay) Leave(id NodeID) (TakeoverPlan, error) {
 	plan.Taker.leaf = vacated
 	o.removeNodeState(id)
 	o.rewireAfterLeave(affectedBefore, plan)
-	o.recordChurn(ChurnEvent{Joined: NoneID, Left: id, ZoneChanged: [2]NodeID{plan.Taker.ID, plan.Merged.ID}})
+	o.stamp(id)
+	o.stamp(plan.Taker.ID)
+	o.stamp(plan.Merged.ID)
 	return plan, nil
 }
 

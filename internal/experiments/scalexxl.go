@@ -6,9 +6,9 @@ import "hetgrid/internal/sim"
 // configuration: two orders of magnitude past the paper's 1000-node
 // evaluation. At this size any O(n) response to a single membership
 // event dominates the run, so the configuration exists to exercise —
-// and the `make bench-xxl` smoke to enforce — the O(Δ) churn path:
-// delta-maintained snapshots, journal-spliced aggregation orders and
-// binary-search candidate-index splices.
+// and the `make bench-xxl` smoke to enforce — the incremental churn
+// path: delta-maintained snapshots, stamp-synchronized aggregation
+// orders and binary-search candidate-index splices.
 const ScaleXXLNodes = 100000
 
 // ScaleXXLLBConfig returns the 100,000-node load-balance configuration

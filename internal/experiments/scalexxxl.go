@@ -8,8 +8,8 @@ import "hetgrid/internal/sim"
 // this size even O(log n) per-event work adds up, so the configuration
 // exercises — and the `make bench-xxxl` smoke enforces — the end-to-end
 // composition of every incremental path at once: delta-maintained
-// snapshots, journal-spliced aggregation orders, candidate-index
-// splices and the carry-over load rebuild.
+// snapshots, stamp-synchronized aggregation orders and candidate-index
+// splices.
 const ScaleXXXLNodes = 1000000
 
 // ScaleXXXLLBConfig returns the 1,000,000-node load-balance

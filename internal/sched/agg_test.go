@@ -143,7 +143,7 @@ func TestAggRefreshReuseAcrossChurn(t *testing.T) {
 // TestAggAtUnknownIDs pins the dense id index's edges: a departed node,
 // a node that joined after the last refresh, IDs beyond any ever issued
 // and negative IDs all read as the empty aggregate, whether the table
-// last refreshed by splice or by full rebuild, and before any refresh.
+// last refreshed by membership sync or by full rebuild, and before any refresh.
 func TestAggAtUnknownIDs(t *testing.T) {
 	ov, cl, _ := buildTiedGrid(t, 2, 4)
 	empty := func(a DimAgg) bool { return a.Nodes == 0 && a.ByType == nil }
@@ -151,14 +151,14 @@ func TestAggAtUnknownIDs(t *testing.T) {
 	if a := cold.At(ov.Nodes()[0].ID, 0); !empty(a) {
 		t.Fatalf("unrefreshed table: At = %+v, want empty", a)
 	}
-	spliced := NewAggTable(2, 0)
-	spliced.Refresh(ov, cl)
+	synced := NewAggTable(2, 0)
+	synced.Refresh(ov, cl)
 	victim := ov.Nodes()[5].ID
 	cl.RemoveNode(victim)
 	if _, err := ov.Leave(victim); err != nil {
 		t.Fatal(err)
 	}
-	spliced.Refresh(ov, cl)
+	synced.Refresh(ov, cl)
 	rebuilt := NewAggTable(2, 0)
 	rebuilt.RefreshFull(ov, cl)
 	// A node that joins after both refreshes is unseen by both tables.
@@ -169,7 +169,7 @@ func TestAggAtUnknownIDs(t *testing.T) {
 	}
 	cl.AddNode(late.ID, caps)
 	live := ov.Nodes()[0].ID
-	for name, a := range map[string]*AggTable{"spliced": spliced, "rebuilt": rebuilt} {
+	for name, a := range map[string]*AggTable{"synced": synced, "rebuilt": rebuilt} {
 		if got := a.At(live, 0); got.Nodes == 0 {
 			t.Fatalf("%s: live node %d reads empty", name, live)
 		}

@@ -15,9 +15,9 @@ import (
 // churn, load changes and — crucially — explicit refresh boundaries, so
 // the fuzzer controls how many overlay versions batch up between
 // refreshes. That is the surface runAggScript (refresh after every op)
-// cannot reach: multi-event journal replays, join-then-leave of the
+// cannot reach: multi-version membership syncs, join-then-leave of the
 // same node inside one window, zone changes of nodes about to depart,
-// and the all-dirty fallback landing on a freshly spliced topology.
+// and the all-dirty fallback landing on a freshly synchronized topology.
 // Overlay.Validate() runs after every mutation, and every refresh
 // boundary compares the incremental table bit-for-bit against the
 // full-recompute reference. Returns the incremental table's stats so
@@ -117,9 +117,9 @@ func runChurnStormScript(tb testing.TB, data []byte) AggStats {
 // TestChurnStormDifferential drives randomized churn storms with
 // batched refreshes: sustained join/leave bursts, overlapping load
 // changes, and refresh boundaries landing at arbitrary points. Across
-// the seeds the splice path must both run (ChurnRefreshes) and absorb
-// multi-event batches (ChurnEvents > ChurnRefreshes), or the test is
-// no longer exercising what it claims to.
+// the seeds the membership sync must both run (ChurnRefreshes) and
+// absorb several changed nodes per sync (ChurnNodes > ChurnRefreshes),
+// or the test is no longer exercising what it claims to.
 func TestChurnStormDifferential(t *testing.T) {
 	var total AggStats
 	for seed := int64(1); seed <= 6; seed++ {
@@ -130,23 +130,23 @@ func TestChurnStormDifferential(t *testing.T) {
 		}
 		st := runChurnStormScript(t, data)
 		total.ChurnRefreshes += st.ChurnRefreshes
-		total.ChurnEvents += st.ChurnEvents
+		total.ChurnNodes += st.ChurnNodes
 		total.FullRebuilds += st.FullRebuilds
 	}
 	if total.ChurnRefreshes == 0 {
-		t.Fatal("no refresh took the churn-splice path; the storm is not exercising it")
+		t.Fatal("no refresh synchronized membership; the storm is not exercising the sync")
 	}
-	if total.ChurnEvents <= total.ChurnRefreshes {
-		t.Fatalf("splices averaged ≤1 event (%d events over %d splices); batching is not happening",
-			total.ChurnEvents, total.ChurnRefreshes)
+	if total.ChurnNodes <= total.ChurnRefreshes {
+		t.Fatalf("syncs averaged ≤1 changed node (%d nodes over %d syncs); batching is not happening",
+			total.ChurnNodes, total.ChurnRefreshes)
 	}
 }
 
-// TestChurnSpliceFallbacks pins the splice path's bail-out conditions:
-// a batch within the threshold splices; a batch beyond maxSpliceEvents
-// falls back to the full rebuild; a poisoned dirty set forces the load
-// fallback even when the membership splice succeeded. Each arm must
-// still match the reference exactly.
+// TestChurnSpliceFallbacks pins which path each refresh takes: the first
+// refresh against an overlay rebuilds; every later membership change,
+// two versions or thousands, is absorbed by one sync without a rebuild;
+// and a poisoned dirty set forces the load fallback on top of a
+// successful sync. Each arm must still match the reference exactly.
 func TestChurnSpliceFallbacks(t *testing.T) {
 	const dims = 2
 	eng := sim.New()
@@ -167,6 +167,13 @@ func TestChurnSpliceFallbacks(t *testing.T) {
 		}
 		t.Fatal("could not place a new node")
 	}
+	removeOne := func(k int) {
+		victim := ov.Nodes()[k].ID
+		if _, err := ov.Leave(victim); err != nil {
+			t.Fatal(err)
+		}
+		cl.RemoveNode(victim)
+	}
 	for i := 0; i < 20; i++ {
 		addOne()
 	}
@@ -183,54 +190,44 @@ func TestChurnSpliceFallbacks(t *testing.T) {
 		t.Fatalf("first refresh: %+v, want one full rebuild", got)
 	}
 
-	// A small batch splices.
-	victim := ov.Nodes()[7].ID
-	if _, err := ov.Leave(victim); err != nil {
-		t.Fatal(err)
-	}
-	cl.RemoveNode(victim)
+	// A two-event window syncs: the victim, its taker, the joiner and
+	// the owner it split from.
+	removeOne(7)
 	addOne()
 	check()
-	if got := inc.Stats(); got.ChurnRefreshes != 1 || got.ChurnEvents != 2 {
-		t.Fatalf("small batch: %+v, want one splice of two events", got)
+	if got := inc.Stats(); got.ChurnRefreshes != 1 || got.FullRebuilds != 1 || got.ChurnNodes < 3 {
+		t.Fatalf("two-event window: %+v, want one sync of its changed nodes", got)
 	}
 
-	// A batch beyond maxSpliceEvents but within the journal's retained
-	// window takes the batch compact+merge path, not the rebuild.
-	for i := 0; i <= maxSpliceEvents; i++ {
-		addOne()
-	}
-	check()
-	if got := inc.Stats(); got.ChurnRefreshes != 2 || got.ChurnBatches != 1 || got.FullRebuilds != 1 {
-		t.Fatalf("large batch: %+v, want a batch splice and no new rebuild", got)
-	}
-
-	// A backlog beyond the journal's retained window rebuilds instead:
-	// ChurnSince is all-or-nothing once the ring has evicted the gap.
-	for i := 0; i <= ov.JournalCap(); i++ {
-		addOne()
-	}
-	check()
-	if got := inc.Stats(); got.ChurnRefreshes != 2 || got.ChurnBatches != 1 || got.FullRebuilds != 2 {
-		t.Fatalf("evicted backlog: %+v, want a second full rebuild and no new splice", got)
+	// Backlogs of more than 256 and more than 1024 versions still sync;
+	// no backlog size forces a rebuild.
+	for arm, backlog := range []int{300, 1100} {
+		before := ov.Version()
+		for k := 0; ov.Version()-before < uint64(backlog); k++ {
+			if k%3 == 2 {
+				removeOne(k % ov.Len())
+			} else {
+				addOne()
+			}
+		}
+		check()
+		if got := inc.Stats(); got.ChurnRefreshes != int64(arm+2) || got.FullRebuilds != 1 {
+			t.Fatalf("%d-version backlog: %+v, want a sync and no new rebuild", backlog, got)
+		}
 	}
 
-	// A successful splice whose dirty set was poisoned still needs the
-	// load fallback — both counters move on one refresh.
-	victim = ov.Nodes()[3].ID
-	if _, err := ov.Leave(victim); err != nil {
-		t.Fatal(err)
-	}
-	cl.RemoveNode(victim)
+	// A sync whose dirty set was poisoned still needs the load fallback
+	// — both counters move on one refresh.
+	removeOne(3)
 	cl.MarkAllDirty()
 	check()
-	if got := inc.Stats(); got.ChurnRefreshes != 3 || got.FullRebuilds != 3 {
-		t.Fatalf("poisoned splice: %+v, want splice and load fallback on the same refresh", got)
+	if got := inc.Stats(); got.ChurnRefreshes != 4 || got.FullRebuilds != 2 {
+		t.Fatalf("poisoned sync: %+v, want a sync and the load fallback on the same refresh", got)
 	}
 }
 
 // FuzzChurnIncremental lets the fuzzer search for a churn/refresh
-// interleaving where the splice-maintained table diverges from the
+// interleaving where the sync-maintained table diverges from the
 // full recompute or the overlay invariants break. Seed corpus in
 // testdata/fuzz/FuzzChurnIncremental.
 func FuzzChurnIncremental(f *testing.F) {
