@@ -7,14 +7,15 @@
 #                   the scenario loader, the sharded engine's
 #                   determinism battery and the aggregation table's
 #                   churn differential, a short benchmark pass that
-#                   regenerates BENCH_17.json against the BENCH_16.json
+#                   regenerates BENCH_19.json against the BENCH_17.json
 #                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
 #                   and telemetry smoke runs that exercise the
 #                   metrics/trace exports — including the sharded
-#                   telemetry plane, the scenario metric checkpoints and
-#                   the serial-vs-sharded scenario byte comparison.
+#                   figure's telemetry byte-compared at GOMAXPROCS=1
+#                   and 4, the scenario metric checkpoints and the
+#                   serial-vs-sharded scenario byte comparison.
 
 GO ?= go
 BENCHTMP ?= /tmp/hetgrid_bench
@@ -63,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedDeterminism$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzChurnIncremental$$' -fuzztime 10s ./internal/sched
 
-# bench regenerates BENCH_17.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_19.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks — placement, aggregation refresh and greedy CAN
 # routing at d=5 and d=11 (CANRoute) — run at 1000 so the overlay
@@ -75,7 +76,7 @@ fuzz-smoke:
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_16.json entries as baselines; the gate then fails the
+# embedding BENCH_17.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -94,7 +95,7 @@ fuzz-smoke:
 # the same parallelism (see cmd/benchjson). The sharded telemetry
 # overhead pair (metrics=off / metrics=on over the identical heartbeat
 # workload) also runs as two processes; its gated entries keep the
-# plane's barrier-merge cost from creeping. The sharded churn-storm
+# plane's per-barrier sampling cost from creeping. The sharded churn-storm
 # pair (ChurnStormSharded W=1 / W=max) runs the same way: it prices
 # control-plane churn under sustained heartbeat traffic; the anchored
 # regex keeps the ungated 100k smoke variant out of the gate.
@@ -126,7 +127,7 @@ bench:
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_churn1.txt $(BENCHTMP)_churn2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 17 -prev BENCH_16.json -gate 15 -out BENCH_17.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 19 -prev BENCH_17.json -gate 15 -out BENCH_19.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -166,9 +167,13 @@ bench-xxxl:
 # metrics-smoke exercises the whole telemetry plane end to end at tiny
 # scale: the measured heartbeat-volume figure with sampled metrics, a
 # load-balancing run with metrics + placement-span tracing, the
-# traceview span tree over the result, and the sharded core's
-# barrier-merged telemetry exported as both JSONL and CSV. Artifacts
-# land in $(ARTIFACTS)/ (uploaded by CI).
+# traceview span tree over the result, and the sharded-core figure's
+# telemetry — the serial Figure 8 registrations sampled at window
+# barriers — exported as both JSONL and CSV. The sharded figure runs at
+# GOMAXPROCS=1 and GOMAXPROCS=4 (shards = workers = GOMAXPROCS) and its
+# JSONL, CSV and text must be byte-identical across the two, so a break
+# of the (S, W) determinism contract fails the target. Artifacts land
+# in $(ARTIFACTS)/ (uploaded by CI).
 metrics-smoke: build
 	mkdir -p $(ARTIFACTS)
 	$(GO) run ./cmd/figures -fig hb -scale 0.04 -seed 1 \
@@ -178,15 +183,21 @@ metrics-smoke: build
 		> $(ARTIFACTS)/lb.txt
 	$(GO) run ./cmd/traceview -spans -top 5 $(ARTIFACTS)/lb_trace.jsonl \
 		> $(ARTIFACTS)/lb_spans.txt
-	$(GO) run ./cmd/figures -fig sharded -scale 0.04 -seed 1 -metrics-interval 10 \
+	GOMAXPROCS=1 $(GO) run ./cmd/figures -fig sharded -scale 0.04 -seed 1 -metrics-interval 10 \
 		-metrics $(ARTIFACTS)/sharded_metrics.jsonl \
 		-metrics-csv $(ARTIFACTS)/sharded_metrics.csv -out $(ARTIFACTS)/sharded.txt
+	GOMAXPROCS=4 $(GO) run ./cmd/figures -fig sharded -scale 0.04 -seed 1 -metrics-interval 10 \
+		-metrics $(ARTIFACTS)/sharded_metrics_p4.jsonl \
+		-metrics-csv $(ARTIFACTS)/sharded_metrics_p4.csv -out $(ARTIFACTS)/sharded_p4.txt
+	@for f in sharded_metrics.jsonl sharded_metrics.csv sharded.txt; do \
+		cmp $(ARTIFACTS)/$$f $(ARTIFACTS)/$$(echo $$f | sed 's/\./_p4./') \
+			|| { echo "metrics-smoke: $$f differs between GOMAXPROCS=1 and GOMAXPROCS=4"; exit 1; }; done
 	@test -s $(ARTIFACTS)/fighb_metrics.jsonl || { echo "metrics-smoke: empty figure telemetry"; exit 1; }
 	@test -s $(ARTIFACTS)/lb_metrics.jsonl || { echo "metrics-smoke: empty run telemetry"; exit 1; }
 	@test -s $(ARTIFACTS)/sharded_metrics.jsonl || { echo "metrics-smoke: empty sharded telemetry"; exit 1; }
 	@test -s $(ARTIFACTS)/sharded_metrics.csv || { echo "metrics-smoke: empty sharded CSV telemetry"; exit 1; }
 	@grep -q place.match $(ARTIFACTS)/lb_trace.jsonl || { echo "metrics-smoke: no placement spans in trace"; exit 1; }
-	@echo "metrics-smoke: ok ($$(wc -l < $(ARTIFACTS)/lb_metrics.jsonl) metric points, $$(wc -l < $(ARTIFACTS)/lb_trace.jsonl) trace events, $$(wc -l < $(ARTIFACTS)/sharded_metrics.jsonl) sharded points)"
+	@echo "metrics-smoke: ok ($$(wc -l < $(ARTIFACTS)/lb_metrics.jsonl) metric points, $$(wc -l < $(ARTIFACTS)/lb_trace.jsonl) trace events, $$(wc -l < $(ARTIFACTS)/sharded_metrics.jsonl) sharded points, identical at GOMAXPROCS=1 and 4)"
 
 # scenario-smoke lints and executes the whole fault-injection corpus
 # (examples/scenarios/) through the CLI — churn_storm_sharded runs on

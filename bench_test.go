@@ -844,11 +844,11 @@ func benchShardedHeartbeat(b *testing.B, nodes, shards, workers int) {
 }
 
 // benchShardedHeartbeatEvery is benchShardedHeartbeat with an optional
-// telemetry plane: a non-zero sampleEvery attaches a barrier-merged
-// ShardedPlane (the full proto + per-kind transport registration the
-// figure driver wires) sampling at that cadence through the timed
-// window, so the metrics-on/off pair prices the facet reads and
-// reductions the telemetry plane adds per barrier.
+// telemetry plane: a non-zero sampleEvery attaches a plane with the
+// full proto + per-kind transport registration the figure driver wires,
+// sampling at barriers at that cadence through the timed window, so the
+// metrics-on/off pair prices the shard-order reads the telemetry plane
+// adds per sample.
 func benchShardedHeartbeatEvery(b *testing.B, nodes, shards, workers int, sampleEvery sim.Duration) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -859,15 +859,14 @@ func benchShardedHeartbeatEvery(b *testing.B, nodes, shards, workers int, sample
 		churn := proto.DefaultChurnConfig(nodes, 0)
 		churn.JoinGap = sim.Millisecond
 		churn.Seed = int64(i + 1)
-		d := proto.NewShardedChurnDriver(ss, churn)
+		d := proto.NewChurnDriver(ss, churn)
 		d.Start()
 		var m *metrics.Plane
 		if sampleEvery > 0 {
 			m = metrics.New(sampleEvery, 0)
 			m.Attach(ss.SE)
-			sp := metrics.NewShardedPlane(m, ss.Shards())
-			metricsreg.RegisterShardedProtoGauges(sp, ss)
-			metricsreg.RegisterShardedNetCounters(sp, ss.Net, "net")
+			metricsreg.RegisterProtoGauges(m, ss)
+			metricsreg.RegisterNetCounters(m, ss.Net, "net")
 			m.Poke()
 		}
 		ss.RunUntil(d.ChurnStart.Add(5 * sim.Second))
@@ -892,10 +891,10 @@ func benchShardedHeartbeatEvery(b *testing.B, nodes, shards, workers int, sample
 
 // BenchmarkShardedHeartbeatMetricsOverhead prices the sharded
 // telemetry plane: the identical modest-scale heartbeat workload with
-// no plane and with a 5-second barrier-merged sampling cadence. The
+// no plane and with a 5-second sampling cadence at barriers. The
 // off/on ns/op gap is the whole cost of telemetry — the determinism
 // contract guarantees the event history itself is unchanged, so any
-// difference is facet reads, reductions and ring writes at barriers.
+// difference is shard-order reads and ring writes at barriers.
 func BenchmarkShardedHeartbeatMetricsOverhead(b *testing.B) {
 	const nodes, shards = 2000, 4
 	workers := runtime.GOMAXPROCS(0)
@@ -944,7 +943,7 @@ func benchChurnStormSharded(b *testing.B, nodes, shards, workers int) {
 		churn.JoinGap = sim.Millisecond
 		churn.MinEventGap = 10 * sim.Millisecond
 		churn.Seed = int64(i + 1)
-		d := proto.NewShardedChurnDriver(ss, churn)
+		d := proto.NewChurnDriver(ss, churn)
 		d.Start()
 		ss.RunUntil(d.ChurnStart.Add(5 * sim.Second))
 		runtime.GC()

@@ -74,7 +74,8 @@ func main() {
 	want := strings.ToLower(*fig)
 	if want == "sharded" {
 		// The sharded-core cell manages its own plane (one simulation,
-		// barrier-merged facets) rather than the per-figure collector.
+		// sampled at window barriers) rather than the per-figure
+		// collector.
 		runSharded(w, s, *seed, *metricsPath, *metricsCSV, *metricsEvery)
 		return
 	}

@@ -86,7 +86,7 @@ func RunResilience(cfg ResilienceConfig) *ResilienceResult {
 	cc.Seed = cfg.Seed
 	d := proto.NewChurnDriver(s, cc)
 	d.Start()
-	attachProtoMetrics(cfg.Metrics, s)
+	attachProtoMetrics(cfg.Metrics, s.Eng, s, s.Net)
 
 	res := &ResilienceResult{Config: cfg}
 	proto.SampleBrokenLinks(s, d.ChurnStart, cfg.SampleEvery, &res.Samples)
@@ -152,8 +152,9 @@ type KindRate struct {
 	KBytesPerNodeMin float64
 }
 
-// RunScalability executes one Figure 8 cell.
-func RunScalability(cfg ScalabilityConfig) *ScalabilityResult {
+// protoConfig returns the protocol configuration of one Figure 8 cell,
+// shared by the serial and sharded drivers.
+func (cfg ScalabilityConfig) protoConfig() proto.Config {
 	pcfg := proto.DefaultConfig(cfg.Scheme)
 	pcfg.HeartbeatPeriod = cfg.HeartbeatPeriod
 	if cfg.MaxPerFace > 0 {
@@ -162,14 +163,23 @@ func RunScalability(cfg ScalabilityConfig) *ScalabilityResult {
 		pcfg.MaxPerFace = 0
 	}
 	pcfg.Seed = cfg.Seed
-	s := proto.NewSim(cfg.Dims, pcfg)
+	return pcfg
+}
 
+// churnConfig returns the churn process of one Figure 8 cell.
+func (cfg ScalabilityConfig) churnConfig() proto.ChurnConfig {
 	cc := proto.DefaultChurnConfig(cfg.Nodes, cfg.MeanEventGap)
 	cc.FailFraction = cfg.FailFraction
 	cc.Seed = cfg.Seed
-	d := proto.NewChurnDriver(s, cc)
+	return cc
+}
+
+// RunScalability executes one Figure 8 cell.
+func RunScalability(cfg ScalabilityConfig) *ScalabilityResult {
+	s := proto.NewSim(cfg.Dims, cfg.protoConfig())
+	d := proto.NewChurnDriver(s, cfg.churnConfig())
 	d.Start()
-	attachProtoMetrics(cfg.Metrics, s)
+	attachProtoMetrics(cfg.Metrics, s.Eng, s, s.Net)
 
 	s.Eng.RunUntil(d.ChurnStart.Add(cfg.Warmup))
 	s.Net.ResetWindow()
@@ -212,32 +222,22 @@ func summarizeScalability(cfg ScalabilityConfig, avgNeighbors float64, alive int
 // can pick the parallelism that fits the machine without perturbing
 // the figures (shards and workers ≤ 0 select GOMAXPROCS).
 //
-// cfg.Metrics, when non-nil, samples the run through per-shard metric
-// facets merged at window barriers (metrics.ShardedPlane): the sampler
-// runs on the serial control plane with all shards quiesced, so the
+// cfg.Metrics, when non-nil, samples the run with the same series
+// registrations as RunScalability. The sampler runs on the serial
+// control plane at window barriers, with all shards quiesced, and the
+// sharded readers sum per-shard state in stable shard order, so the
 // exported stream is byte-identical for any (shards, workers) pair and
 // the cell's figures are byte-identical to a metrics-off run.
 func RunScalabilitySharded(cfg ScalabilityConfig, shards, workers int) *ScalabilityResult {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	pcfg := proto.DefaultConfig(cfg.Scheme)
-	pcfg.HeartbeatPeriod = cfg.HeartbeatPeriod
-	if cfg.MaxPerFace > 0 {
-		pcfg.MaxPerFace = cfg.MaxPerFace
-	} else if cfg.MaxPerFace < 0 {
-		pcfg.MaxPerFace = 0
-	}
-	pcfg.Seed = cfg.Seed
-	ss := proto.NewShardedSim(shards, workers, cfg.Dims, pcfg)
+	ss := proto.NewShardedSim(shards, workers, cfg.Dims, cfg.protoConfig())
 	defer ss.Close()
 
-	cc := proto.DefaultChurnConfig(cfg.Nodes, cfg.MeanEventGap)
-	cc.FailFraction = cfg.FailFraction
-	cc.Seed = cfg.Seed
-	d := proto.NewShardedChurnDriver(ss, cc)
+	d := proto.NewChurnDriver(ss, cfg.churnConfig())
 	d.Start()
-	attachShardedProtoMetrics(cfg.Metrics, ss)
+	attachProtoMetrics(cfg.Metrics, ss.SE, ss, ss.Net)
 
 	ss.RunUntil(d.ChurnStart.Add(cfg.Warmup))
 	ss.Net.ResetWindow()
@@ -248,29 +248,16 @@ func RunScalabilitySharded(cfg ScalabilityConfig, shards, workers int) *Scalabil
 }
 
 // attachProtoMetrics wires a maintenance run's plane: protocol health
-// gauges plus per-kind transport counters.
-func attachProtoMetrics(m *metrics.Plane, s *proto.Sim) {
+// gauges plus per-kind transport counters. Serial and sharded runs
+// register through this one function; on a sharded engine the plane
+// samples at window barriers.
+func attachProtoMetrics(m *metrics.Plane, eng metrics.Engine, h metricsreg.ProtoHealth, net metricsreg.NetReader) {
 	if m == nil {
 		return
 	}
-	m.Attach(s.Eng)
-	metricsreg.RegisterProtoGauges(m, s)
-	metricsreg.RegisterNetCounters(m, s.Net, "net")
-	m.Poke()
-}
-
-// attachShardedProtoMetrics wires the same series as attachProtoMetrics
-// against a sharded run: the plane samples on the control plane at
-// window barriers, reading per-shard facets merged in stable shard
-// order (metrics.ShardedPlane).
-func attachShardedProtoMetrics(m *metrics.Plane, ss *proto.ShardedSim) {
-	if m == nil {
-		return
-	}
-	m.Attach(ss.SE)
-	sp := metrics.NewShardedPlane(m, ss.Shards())
-	metricsreg.RegisterShardedProtoGauges(sp, ss)
-	metricsreg.RegisterShardedNetCounters(sp, ss.Net, "net")
+	m.Attach(eng)
+	metricsreg.RegisterProtoGauges(m, h)
+	metricsreg.RegisterNetCounters(m, net, "net")
 	m.Poke()
 }
 

@@ -10,11 +10,12 @@ import (
 
 // FigureSharded runs one adaptive Figure 8 cell on the sharded
 // simulation core with telemetry attached — the smoke-test driver for
-// the sharded telemetry plane (`figures -fig sharded`). Shards and
-// workers follow GOMAXPROCS; by the engine's determinism contract and
-// the plane's barrier-merged sampling, neither the printed cell nor the
-// exported stream depends on that choice, so the output is a pure
-// function of (scale, seed).
+// telemetry on the sharded engine (`figures -fig sharded`). The plane
+// carries the serial Figure 8 registrations, sampled at window barriers
+// over readers that sum per-shard state in shard order. Shards and
+// workers follow GOMAXPROCS; by the engine's determinism contract,
+// neither the printed cell nor the exported stream depends on that
+// choice, so the output is a pure function of (scale, seed).
 func FigureSharded(w io.Writer, scale Scale, seed int64, m *metrics.Plane) (*ScalabilityResult, error) {
 	cfg := DefaultScalabilityConfig(proto.Adaptive, 5, scale.nodes(1000))
 	cfg.Warmup = scale.dur(cfg.Warmup)

@@ -133,7 +133,7 @@ func (k *Sink) Emit(node int64, v float64) {
 type GaugeFunc func(sink *Sink)
 
 // CounterFunc reports a cumulative count. The plane converts it to a
-// per-interval delta (the first interval is measured from Attach).
+// per-interval delta (see RegisterCounter for the first interval).
 type CounterFunc func() int64
 
 // Engine is the scheduling surface a plane samples on: the serial
@@ -218,9 +218,21 @@ func (p *Plane) RegisterGauge(name string, fn GaugeFunc) {
 }
 
 // RegisterCounter adds a named cumulative counter source; the plane
-// records the per-interval delta at each sample (node -1).
+// records the per-interval delta at each sample (node -1). The first
+// delta is measured from Attach, or from registration on a plane that
+// is already attached.
 func (p *Plane) RegisterCounter(name string, fn CounterFunc) {
-	p.counters = append(p.counters, counterReg{series: p.newSeries(name), fn: fn})
+	p.counters = append(p.counters, p.newCounter(p.newSeries(name), fn))
+}
+
+// newCounter pairs a counter source with its series, taking the
+// baseline now when the plane is attached (Attach takes it otherwise).
+func (p *Plane) newCounter(s *Series, fn CounterFunc) counterReg {
+	c := counterReg{series: s, fn: fn}
+	if p.eng != nil {
+		c.last = fn()
+	}
+	return c
 }
 
 func (p *Plane) newAuxSeries(name string) *Series {
@@ -243,11 +255,12 @@ func (p *Plane) RegisterAuxGauge(name string, fn GaugeFunc) {
 // stream; per-interval deltas, node -1, same exclusion rules as
 // RegisterAuxGauge.
 func (p *Plane) RegisterAuxCounter(name string, fn CounterFunc) {
-	p.auxCounters = append(p.auxCounters, counterReg{series: p.newAuxSeries(name), fn: fn})
+	p.auxCounters = append(p.auxCounters, p.newCounter(p.newAuxSeries(name), fn))
 }
 
 // Attach binds the plane to an engine and initializes counter baselines
-// so the first sample reports only post-Attach activity. It does not
+// so the first sample reports only post-Attach activity; counters
+// registered later take their baseline at registration. It does not
 // schedule a sampler event: call Poke to arm it (this keeps an attached
 // but idle plane from pinning the event queue open).
 func (p *Plane) Attach(eng Engine) {

@@ -28,29 +28,51 @@ func TestRingWrap(t *testing.T) {
 }
 
 // TestCounterDelta checks counters export per-interval deltas with the
-// baseline taken at Attach.
+// baseline taken at Attach, or at registration on an attached plane —
+// canonical and auxiliary counters alike.
 func TestCounterDelta(t *testing.T) {
-	eng := sim.New()
-	var total int64 = 100 // pre-Attach activity must not appear
-	p := New(10*sim.Second, 0)
-	p.RegisterCounter("c", func() int64 { return total })
-	p.Attach(eng)
+	for _, tc := range []struct {
+		name          string
+		registerFirst bool
+	}{
+		{"register-before-attach", true},
+		{"register-after-attach", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			var total int64 = 100 // earlier activity must not appear
+			p := New(10*sim.Second, 0)
+			register := func() {
+				p.RegisterCounter("c", func() int64 { return total })
+				p.RegisterAuxCounter("a", func() int64 { return total })
+			}
+			if tc.registerFirst {
+				register()
+				p.Attach(eng)
+			} else {
+				p.Attach(eng)
+				register()
+			}
 
-	total += 7
-	p.SampleNow()
-	total += 5
-	p.SampleNow()
-	p.SampleNow()
+			total += 7
+			p.SampleNow()
+			total += 5
+			p.SampleNow()
+			p.SampleNow()
 
-	pts := p.SeriesByName("c").Points()
-	want := []float64{7, 5, 0}
-	if len(pts) != len(want) {
-		t.Fatalf("got %d points, want %d", len(pts), len(want))
-	}
-	for i, w := range want {
-		if pts[i].V != w || pts[i].Node != -1 {
-			t.Fatalf("point %d = %+v, want V=%v Node=-1", i, pts[i], w)
-		}
+			want := []float64{7, 5, 0}
+			for _, s := range []*Series{p.SeriesByName("c"), p.AuxSeriesByName("a")} {
+				pts := s.Points()
+				if len(pts) != len(want) {
+					t.Fatalf("%s: got %d points, want %d", s.Name, len(pts), len(want))
+				}
+				for i, w := range want {
+					if pts[i].V != w || pts[i].Node != -1 {
+						t.Fatalf("%s point %d = %+v, want V=%v Node=-1", s.Name, i, pts[i], w)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -94,6 +116,55 @@ func TestDormancy(t *testing.T) {
 		t.Fatalf("last sample at t=%v, want 50", last.T)
 	}
 }
+
+// TestPlaneOnShardedEngine runs the plane against a real
+// ShardedEngine: the sampler lives on the serial control plane, ticks
+// at window barriers while shard work is pending, observes shard-local
+// mutations made inside parallel windows, and goes dormant so Run()
+// drains.
+func TestPlaneOnShardedEngine(t *testing.T) {
+	se := sim.NewSharded(3, 100*sim.Millisecond)
+	defer se.Close()
+	se.SetWorkers(3)
+
+	counts := make([]int64, 3)
+	for sh := 0; sh < 3; sh++ {
+		sh := sh
+		se.Shard(sh).AfterCall(5*sim.Second, callerFunc(func(sim.Time) {
+			counts[sh] += int64(sh + 1)
+		}))
+		se.Shard(sh).AfterCall(15*sim.Second, callerFunc(func(sim.Time) {
+			counts[sh] += 10 * int64(sh+1)
+		}))
+	}
+
+	p := New(10*sim.Second, 0)
+	p.Attach(se)
+	p.RegisterCounter("c", func() int64 { return counts[0] + counts[1] + counts[2] })
+	p.Poke()
+	se.Run() // must terminate: the sampler disarms once shards drain
+
+	// t=10: deltas 1+2+3; t=20: 10+20+30; the sampler found the queues
+	// empty at t=20 and went dormant.
+	pts := p.SeriesByName("c").Points()
+	want := []float64{6, 60}
+	if len(pts) != len(want) {
+		t.Fatalf("got %d points, want %d: %+v", len(pts), len(want), pts)
+	}
+	for i, w := range want {
+		if pts[i].V != w {
+			t.Fatalf("point %d = %+v, want V=%v", i, pts[i], w)
+		}
+	}
+	if p.armed {
+		t.Fatal("sampler still armed after drain")
+	}
+}
+
+// callerFunc adapts a func to sim.Caller for shard-local test events.
+type callerFunc func(sim.Time)
+
+func (f callerFunc) Call(now sim.Time) { f(now) }
 
 // TestPokeIdempotent: double-Poke must not double-schedule.
 func TestPokeIdempotent(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 	"hetgrid/internal/exec"
 	"hetgrid/internal/metrics"
 	"hetgrid/internal/netsim"
-	"hetgrid/internal/proto"
 	"hetgrid/internal/resource"
 	"hetgrid/internal/sched"
 	"hetgrid/internal/sim"
@@ -80,7 +79,7 @@ func RegisterGridGauges(p *metrics.Plane, ov *can.Overlay, cl *exec.Cluster, agg
 	p.RegisterCounter("agg.full_rebuilds", func() int64 { return agg.Stats().FullRebuilds })
 	p.RegisterCounter("agg.dirty_drained", func() int64 { return agg.Stats().DirtyDrained })
 	p.RegisterCounter("agg.fenwick_updates", func() int64 { return agg.Stats().FenwickUpdates })
-	p.RegisterCounter("agg.churn_splice_refreshes", func() int64 { return agg.Stats().ChurnRefreshes })
+	p.RegisterCounter("agg.churn_syncs", func() int64 { return agg.Stats().ChurnRefreshes })
 	p.RegisterCounter("agg.churn_nodes", func() int64 { return agg.Stats().ChurnNodes })
 	p.RegisterGauge("agg.last_dirty", func(k *metrics.Sink) {
 		k.Emit(-1, float64(agg.Stats().LastDirty))
@@ -131,9 +130,10 @@ func RegisterClusterCounters(p *metrics.Plane, cl *exec.Cluster) {
 }
 
 // NetReader is the transport-counter surface RegisterNetCounters
-// reads. Both *netsim.Net and *netsim.ShardedNet (whose totals are the
-// stable shard-order sum over facets) satisfy it, so serial and sharded
-// drivers register identical series.
+// reads. Both *netsim.Net and *netsim.ShardedNet satisfy it; sharded
+// totals are shard-order sums over the per-shard facets, so sampled at
+// window barriers one registration gives the same series on either
+// engine, at any shard or worker count.
 type NetReader interface {
 	Total() netsim.Counters
 	KindTotal(netsim.Kind) netsim.Counters
@@ -159,8 +159,9 @@ func RegisterNetCounters(p *metrics.Plane, net NetReader, prefix string) {
 }
 
 // ProtoHealth is the protocol-health surface RegisterProtoGauges
-// reads: *proto.Sim and *proto.ShardedSim (shard-order sums) both
-// satisfy it.
+// reads. *proto.Sim and *proto.ShardedSim both satisfy it: the sharded
+// alive count is a shard-order sum and the mean view size is computed
+// over the host table all shards share.
 type ProtoHealth interface {
 	AliveHosts() int
 	MeanViewSize() float64
@@ -174,42 +175,6 @@ func RegisterProtoGauges(p *metrics.Plane, s ProtoHealth) {
 	p.RegisterGauge("proto.mean_view", func(k *metrics.Sink) {
 		k.Emit(-1, s.MeanViewSize())
 	})
-}
-
-// RegisterShardedProtoGauges registers the protocol health gauges of a
-// sharded simulation, reading per-shard facets and merging in stable
-// shard order. Series names and export semantics match
-// RegisterProtoGauges exactly, so the merged stream of a sharded run is
-// comparable (and, for the same event history, identical) to a serial
-// run's.
-func RegisterShardedProtoGauges(sp *metrics.ShardedPlane, ss *proto.ShardedSim) {
-	sp.RegisterSumGauge("proto.alive_hosts", func(sh int) float64 {
-		return float64(ss.ShardAliveHosts(sh))
-	})
-	sp.RegisterRatioGauge("proto.mean_view", func(sh int) (num, den float64) {
-		entries, hosts := ss.ShardViewStats(sh)
-		return float64(entries), float64(hosts)
-	})
-}
-
-// RegisterShardedNetCounters registers transport volume counters over a
-// sharded transport's facets: the same series names, order and
-// per-interval-delta semantics as RegisterNetCounters, with each value
-// the stable shard-order sum of the per-facet counters.
-func RegisterShardedNetCounters(sp *metrics.ShardedPlane, sn *netsim.ShardedNet, prefix string) {
-	sp.RegisterSumCounter(prefix+".msgs_sent", func(sh int) int64 { return sn.Facet(sh).Total().MsgsSent })
-	sp.RegisterSumCounter(prefix+".bytes_sent", func(sh int) int64 { return sn.Facet(sh).Total().BytesSent })
-	sp.RegisterSumCounter(prefix+".msgs_recv", func(sh int) int64 { return sn.Facet(sh).Total().MsgsRecv })
-	sp.RegisterSumCounter(prefix+".bytes_recv", func(sh int) int64 { return sn.Facet(sh).Total().BytesRecv })
-	for _, k := range netsim.AllKinds {
-		kind := k
-		sp.RegisterSumCounter(fmt.Sprintf("%s.%s.msgs_sent", prefix, kind), func(sh int) int64 {
-			return sn.Facet(sh).KindTotal(kind).MsgsSent
-		})
-		sp.RegisterSumCounter(fmt.Sprintf("%s.%s.bytes_sent", prefix, kind), func(sh int) int64 {
-			return sn.Facet(sh).KindTotal(kind).BytesSent
-		})
-	}
 }
 
 // RegisterWindowAux registers the sharded engine's synchronization

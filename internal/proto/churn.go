@@ -101,19 +101,10 @@ type ChurnDriver struct {
 }
 
 // NewChurnDriver prepares a driver over any protocol simulation; Start
-// schedules its events.
+// schedules its events. On a *ShardedSim churn runs on the control
+// plane, so the event sequence for a given (cfg, S) is one
+// deterministic stream regardless of worker count.
 func NewChurnDriver(s ChurnSim, cfg ChurnConfig) *ChurnDriver {
-	return newChurnDriver(s, cfg)
-}
-
-// NewShardedChurnDriver prepares a driver over a sharded simulation.
-// Churn runs on the control plane, so the event sequence for a given
-// (cfg, S) is one deterministic stream regardless of worker count.
-func NewShardedChurnDriver(ss *ShardedSim, cfg ChurnConfig) *ChurnDriver {
-	return newChurnDriver(ss, cfg)
-}
-
-func newChurnDriver(s ChurnSim, cfg ChurnConfig) *ChurnDriver {
 	return &ChurnDriver{
 		s:      s,
 		cfg:    cfg,

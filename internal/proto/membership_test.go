@@ -278,9 +278,9 @@ func TestShardedSendToDepartedNode(t *testing.T) {
 	victim := ss.Ov.Owner(geom.Point{0.5, 0.5}).ID
 	src := ss.Ov.Owner(geom.Point{0.1, 0.5}).ID
 	const home = 1
-	if ss.shardID(victim) != home || ss.ShardAliveHosts(home) != 1 {
+	if ss.shardID(victim) != home || ss.Shard(home).AliveHosts() != 1 {
 		t.Fatalf("node %d on shard %d with %d hosts there; want it alone on shard %d",
-			victim, ss.shardID(victim), ss.ShardAliveHosts(home), home)
+			victim, ss.shardID(victim), ss.Shard(home).AliveHosts(), home)
 	}
 	if err := ss.Fail(victim); err != nil {
 		t.Fatal(err)

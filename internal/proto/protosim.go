@@ -108,6 +108,23 @@ func (t *hostTable) put(h *Host) {
 	t.byID[h.id] = h
 }
 
+// meanView returns the mean believed-neighbor count over the table's
+// live hosts, 0 when there are none. Departures clear a host's slot in
+// the same step that marks it dead, so every non-nil entry is live.
+func (t *hostTable) meanView() float64 {
+	entries, hosts := 0, 0
+	for _, h := range t.byID {
+		if h != nil {
+			entries += len(h.view.entries)
+			hosts++
+		}
+	}
+	if hosts == 0 {
+		return 0
+	}
+	return float64(entries) / float64(hosts)
+}
+
 // check verifies the table against the overlay, the sole membership
 // source: every live overlay node has an alive host on the Sim that
 // owner returns for it, no host outlives its overlay node, and live
@@ -517,25 +534,7 @@ func (s *Sim) replyTable(now sim.Time, v *view) []Record {
 // MeanViewSize reports the mean believed-neighbor count across live
 // hosts (0 with no hosts). Order-independent, so it is safe as a
 // telemetry gauge.
-func (s *Sim) MeanViewSize() float64 {
-	entries, hosts := s.viewStats()
-	if hosts == 0 {
-		return 0
-	}
-	return float64(entries) / float64(hosts)
-}
-
-// viewStats returns the total believed-neighbor entries and the count
-// of the live hosts this Sim owns (a shard's share of a shared table).
-func (s *Sim) viewStats() (entries, hosts int) {
-	for _, h := range s.hosts.byID {
-		if h != nil && h.s == s {
-			entries += len(h.view.entries)
-			hosts++
-		}
-	}
-	return entries, hosts
-}
+func (s *Sim) MeanViewSize() float64 { return s.hosts.meanView() }
 
 type fullMsg struct {
 	s      *Sim

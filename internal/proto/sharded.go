@@ -160,32 +160,9 @@ func (ss *ShardedSim) CheckMembership() error {
 }
 
 // MeanViewSize reports the mean believed-neighbor count across all live
-// hosts.
-func (ss *ShardedSim) MeanViewSize() float64 {
-	total := 0
-	for _, h := range ss.hosts.byID {
-		if h != nil {
-			total += len(h.view.entries)
-		}
-	}
-	hosts := ss.AliveHosts()
-	if hosts == 0 {
-		return 0
-	}
-	return float64(total) / float64(hosts)
-}
-
-// ShardAliveHosts returns shard i's live host count. Control-plane (or
-// quiesced-engine) use only — the telemetry facet reader.
-func (ss *ShardedSim) ShardAliveHosts(i int) int { return ss.shards[i].live }
-
-// ShardViewStats returns shard i's total believed-neighbor entries and
-// its live host count, the per-facet numerator and denominator of the
-// global mean view size (Σentries/Σhosts == MeanViewSize). Control-plane
-// use only.
-func (ss *ShardedSim) ShardViewStats(i int) (entries, hosts int) {
-	return ss.shards[i].viewStats()
-}
+// hosts: the same computation over the shared host table as
+// Sim.MeanViewSize. Control-plane (or quiesced-engine) use only.
+func (ss *ShardedSim) MeanViewSize() float64 { return ss.hosts.meanView() }
 
 // Join admits a capability-less node at point p (control plane).
 func (ss *ShardedSim) Join(p geom.Point) (*can.Node, error) {

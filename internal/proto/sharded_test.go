@@ -84,7 +84,7 @@ func runShardedBattery(t *testing.T, scheme Scheme, seed int64, shards, workers 
 	cfg, churnCfg := shardedBatteryConfig(scheme, seed)
 	ss := NewShardedSim(shards, workers, 3, cfg)
 	defer ss.Close()
-	d := NewShardedChurnDriver(ss, churnCfg)
+	d := NewChurnDriver(ss, churnCfg)
 	var samples []SamplePoint
 	SampleBrokenLinks(ss, 5*sim.Time(sim.Second), 5*sim.Duration(sim.Second), &samples)
 	d.Start()
@@ -143,12 +143,12 @@ func TestShardedSimCrossShardTraffic(t *testing.T) {
 	cfg, churnCfg := shardedBatteryConfig(Compact, 1)
 	ss := NewShardedSim(4, 2, 3, cfg)
 	defer ss.Close()
-	d := NewShardedChurnDriver(ss, churnCfg)
+	d := NewChurnDriver(ss, churnCfg)
 	d.Start()
 	ss.RunUntil(20 * sim.Time(sim.Second))
 	populated := 0
 	for i := 0; i < ss.Shards(); i++ {
-		if ss.ShardAliveHosts(i) > 0 {
+		if ss.Shard(i).AliveHosts() > 0 {
 			populated++
 		}
 	}
