@@ -5,9 +5,10 @@
 #                   the end-to-end benchmark harness's own tests (bench/),
 #                   a 10 s fuzz smoke of the requirement-vector oracle,
 #                   the scenario loader, the sharded engine's
-#                   determinism battery and the aggregation table's
-#                   churn differential, a short benchmark pass that
-#                   regenerates BENCH_19.json against the BENCH_17.json
+#                   determinism battery, the aggregation table's
+#                   churn differential and the central comparator's
+#                   candidate index, a short benchmark pass that
+#                   regenerates BENCH_21.json against the BENCH_19.json
 #                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
@@ -15,7 +16,9 @@
 #                   metrics/trace exports — including the sharded
 #                   figure's telemetry byte-compared at GOMAXPROCS=1
 #                   and 4, the scenario metric checkpoints and the
-#                   serial-vs-sharded scenario byte comparison.
+#                   serial-vs-sharded scenario byte comparison, once
+#                   with the corpus scheduler and once with the central
+#                   comparator under protocol churn.
 
 GO ?= go
 BENCHTMP ?= /tmp/hetgrid_bench
@@ -49,22 +52,27 @@ race:
 bench-harness:
 	$(GO) -C bench test ./...
 
-# fuzz-smoke runs four fuzz targets for 10 s each past their committed
+# fuzz-smoke runs five fuzz targets for 10 s each past their committed
 # seed corpora (which `go test` already replays): FuzzJobReq compares
 # the type-sorted CE requirement vector with its map-keyed oracle,
 # FuzzScenarioLoad feeds mutated scenario YAML through parse, decode and
 # validate, which must return errors, never panic,
 # FuzzShardedDeterminism requires a random actor workload to report
-# byte-identically at every (S, W), and FuzzChurnIncremental requires
+# byte-identically at every (S, W), FuzzChurnIncremental requires
 # the aggregation table, synchronized across random churn and refresh
-# boundaries, to match a full recompute bit for bit.
+# boundaries, to match a full recompute bit for bit, and
+# FuzzCentralIndex requires the central comparator, across random
+# interleavings of submissions, time, joins, leaves, dirty-set
+# poisoning and placements, to decide exactly as the full-scan
+# reference and to keep ranked lists equal to a rebuild.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobReq$$' -fuzztime 10s ./internal/resource
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedDeterminism$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzChurnIncremental$$' -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzCentralIndex$$' -fuzztime 10s ./internal/sched
 
-# bench regenerates BENCH_19.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_21.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks — placement, aggregation refresh and greedy CAN
 # routing at d=5 and d=11 (CANRoute) — run at 1000 so the overlay
@@ -76,7 +84,7 @@ fuzz-smoke:
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_17.json entries as baselines; the gate then fails the
+# embedding BENCH_19.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -127,7 +135,7 @@ bench:
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_churn1.txt $(BENCHTMP)_churn2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 19 -prev BENCH_17.json -gate 15 -out BENCH_19.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 21 -prev BENCH_19.json -gate 15 -out BENCH_21.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane
@@ -208,7 +216,10 @@ metrics-smoke: build
 # the same treatment cross-engine: the churn-storm scenario runs under
 # -engine serial, -shards 1 and -shards 4 and all three reports must be
 # byte-identical (the engine key buys wall-clock only, never accuracy).
-# It also tightens a metric checkpoint past what the run achieves and
+# The same scenario with `scheduler: central` substituted runs under
+# -engine serial and -shards 4 and must cmp equal too: no corpus spec
+# selects the central comparator, so this is where its candidate index
+# meets protocol churn. It also tightens a metric checkpoint past what the run achieves and
 # requires the CLI to exit non-zero, proving checkpoints actually gate.
 # Reports land in $(ARTIFACTS)/ (uploaded by CI).
 scenario-smoke: build
@@ -236,6 +247,16 @@ scenario-smoke: build
 		|| { echo "scenario-smoke: sharded report not byte-identical to serial"; exit 1; }
 	@cmp $(ARTIFACTS)/churn_storm_s1.txt $(ARTIFACTS)/churn_storm_s4.txt \
 		|| { echo "scenario-smoke: S=1 and S=4 reports differ"; exit 1; }
+	@sed 's/^  scheduler: .*/  scheduler: central/' examples/scenarios/churn_storm_sharded.yaml \
+		> $(ARTIFACTS)/churn_storm_central.yaml
+	@grep -q '^  scheduler: central$$' $(ARTIFACTS)/churn_storm_central.yaml \
+		|| { echo "scenario-smoke: central substitution did not take"; exit 1; }
+	$(GO) run ./cmd/hetgridsim run -engine serial $(ARTIFACTS)/churn_storm_central.yaml \
+		> $(ARTIFACTS)/churn_storm_central_serial.txt
+	$(GO) run ./cmd/hetgridsim run -engine sharded -shards 4 $(ARTIFACTS)/churn_storm_central.yaml \
+		> $(ARTIFACTS)/churn_storm_central_s4.txt
+	@cmp $(ARTIFACTS)/churn_storm_central_serial.txt $(ARTIFACTS)/churn_storm_central_s4.txt \
+		|| { echo "scenario-smoke: central churn-storm report differs between serial and -shards 4"; exit 1; }
 	@sed 's/^    min: 36$$/    min: 40/' examples/scenarios/checkpointed_recovery.yaml \
 		> $(ARTIFACTS)/checkpoint_violated.yaml
 	@if $(GO) run ./cmd/hetgridsim run $(ARTIFACTS)/checkpoint_violated.yaml \
@@ -243,6 +264,6 @@ scenario-smoke: build
 		echo "scenario-smoke: violated checkpoint did not fail the run"; exit 1; fi
 	@grep -q 'below min 40' $(ARTIFACTS)/checkpoint_violated.txt \
 		|| { echo "scenario-smoke: checkpoint violation missing from report"; exit 1; }
-	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine parity, checkpoint gate enforced)"
+	@echo "scenario-smoke: ok ($$(ls examples/scenarios/*.yaml | wc -l) scenarios, engine parity, central under churn, checkpoint gate enforced)"
 
 verify: fmt-check build vet race bench-harness fuzz-smoke bench bench-xl bench-xxl bench-xxxl metrics-smoke scenario-smoke

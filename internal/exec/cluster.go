@@ -41,62 +41,27 @@ type Cluster struct {
 	// OnFinish, when non-nil, is called as each job completes.
 	OnFinish func(*Job)
 
-	// loadObserver, when non-nil, is notified after every operation
-	// that may change a node's queue length or idleness (AddNode,
-	// Submit, a job finishing, RemoveNode). removed marks withdrawal.
-	// Schedulers use it to maintain incremental candidate indexes.
-	loadObserver func(r *Runtime, removed bool)
-
-	// dirty is the delta channel for incremental load aggregation: the
-	// runtimes whose DemandOn-relevant state (queue contents, running
-	// occupancy, membership) changed since the last DrainDirty, in
-	// event order, each listed at most once (Runtime.dirty dedupes).
-	// allDirty marks the set as not enumerable — set at construction
-	// (events before the first drain predate any consumer) and by
-	// MarkAllDirty — forcing the consumer onto its full-recompute path.
+	// dirty is the cluster's one delta channel: the runtimes whose
+	// load-relevant state (queue contents, running occupancy, idleness,
+	// membership) changed since the last DrainDirty, in event order,
+	// each listed at most once (Runtime.dirty dedupes). allDirty marks
+	// the set as not enumerable — set at construction (events before
+	// the first drain predate any consumer) and by MarkAllDirty —
+	// forcing the consumer onto its full-recompute path.
 	dirty    []*Runtime
 	allDirty bool
-
-	// membership is the companion delta channel for incremental
-	// membership-keyed indexes: every AddNode/RemoveNode appends one
-	// entry in event order (a node can legitimately appear several
-	// times — removed then re-added — so the log is replayed in order
-	// rather than deduplicated). memAll marks the log as not
-	// enumerable, set at construction, by MarkAllDirty, and when the
-	// undrained log outgrows memLogCap (a run whose scheduler never
-	// consumes membership deltas must not accumulate them forever).
-	membership []MembershipEvent
-	memAll     bool
 
 	submitted int
 	finished  int
 }
 
-// MembershipEvent is one entry of the cluster's membership delta log:
-// the runtime that was added to or removed from the cluster. Removed
-// runtimes retain their Caps, so consumers can unindex them without a
-// live lookup.
-type MembershipEvent struct {
-	Runtime *Runtime
-	Removed bool
-}
-
-// memLogCap bounds the undrained membership log. A consumer polling on
-// the scheduling cadence drains long before this; hitting the cap means
-// nobody is listening, so the log collapses to the all-changed state.
-const memLogCap = 1024
-
-// SetLoadObserver installs the single load-change observer (the
-// scheduler's candidate index). Passing nil removes it.
-func (c *Cluster) SetLoadObserver(f func(r *Runtime, removed bool)) { c.loadObserver = f }
-
-func (c *Cluster) notifyLoad(r *Runtime, removed bool) {
+// notifyLoad marks a node dirty after every operation that may change
+// its queue, occupancy or membership (AddNode, Submit, a job finishing,
+// RemoveNode).
+func (c *Cluster) notifyLoad(r *Runtime) {
 	if !r.dirty {
 		r.dirty = true
 		c.dirty = append(c.dirty, r)
-	}
-	if c.loadObserver != nil {
-		c.loadObserver(r, removed)
 	}
 }
 
@@ -108,7 +73,9 @@ func (c *Cluster) notifyLoad(r *Runtime, removed bool) {
 // must treat every node as dirty. Either way the set is cleared.
 //
 // The channel is single-consumer: draining is destructive, so exactly
-// one component (the scheduler's aggregation table) may rely on it.
+// one component may rely on it — the candidate index of the cluster's
+// one scheduler (the aggregation table of CAN-het/CAN-hom, or the
+// central comparator's idle and empty-queue sets).
 // Job start events are deliberately not tracked on their own: a
 // queue→running transition moves cores between the queued tally and
 // the running occupancy of the same CE, leaving DemandOn unchanged,
@@ -127,58 +94,15 @@ func (c *Cluster) DrainDirty(fn func(can.NodeID)) bool {
 	return enumerable
 }
 
-// MarkAllDirty poisons the dirty set and the membership log: the next
-// DrainDirty / DrainMembership reports them as not enumerable. For
-// consumers that bypassed the notification channels (bulk mutations,
-// external state restores) — and for benchmarking the all-dirty
-// fallback.
-func (c *Cluster) MarkAllDirty() {
-	c.allDirty = true
-	c.poisonMembership()
-}
-
-func (c *Cluster) poisonMembership() {
-	c.memAll = true
-	for i := range c.membership {
-		c.membership[i] = MembershipEvent{}
-	}
-	c.membership = c.membership[:0]
-}
-
-func (c *Cluster) noteMembership(r *Runtime, removed bool) {
-	if c.memAll {
-		return // already poisoned; nothing to log until the next drain
-	}
-	if len(c.membership) >= memLogCap {
-		c.poisonMembership()
-		return
-	}
-	c.membership = append(c.membership, MembershipEvent{Runtime: r, Removed: removed})
-}
-
-// DrainMembership empties the membership delta log, invoking fn for
-// each add/remove in event order. It returns false when the log is not
-// enumerable — on first use, after MarkAllDirty, or after overflowing
-// undrained — in which case fn is never called and the caller must
-// rebuild its membership-derived index from scratch. Either way the log
-// is cleared. Like DrainDirty, the channel is single-consumer:
-// draining is destructive, so exactly one index may rely on it.
-func (c *Cluster) DrainMembership(fn func(ev MembershipEvent)) bool {
-	if c.memAll {
-		c.memAll = false
-		return false
-	}
-	for i, ev := range c.membership {
-		c.membership[i] = MembershipEvent{}
-		fn(ev)
-	}
-	c.membership = c.membership[:0]
-	return true
-}
+// MarkAllDirty poisons the dirty set: the next DrainDirty reports it
+// as not enumerable, so the consumer refiles every node. For callers
+// that bypassed the notifications (bulk mutations, external state
+// restores), and for benchmarking the all-dirty fallback.
+func (c *Cluster) MarkAllDirty() { c.allDirty = true }
 
 // NewCluster creates an empty cluster on the engine.
 func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
-	return &Cluster{eng: eng, cfg: cfg, allDirty: true, memAll: true}
+	return &Cluster{eng: eng, cfg: cfg, allDirty: true}
 }
 
 // AddNode registers a node's capabilities. It panics on duplicate or
@@ -195,8 +119,7 @@ func (c *Cluster) AddNode(id can.NodeID, caps *resource.NodeCaps) *Runtime {
 	}
 	r := newRuntime(id, caps)
 	c.nodes[id] = r
-	c.noteMembership(r, false)
-	c.notifyLoad(r, false)
+	c.notifyLoad(r)
 	return r
 }
 
@@ -278,7 +201,7 @@ func (c *Cluster) Submit(j *Job, node can.NodeID) error {
 	c.submitted++
 	cntSubmitted.Inc()
 	c.advance(r, now)
-	c.notifyLoad(r, false)
+	c.notifyLoad(r)
 	return nil
 }
 
@@ -371,8 +294,7 @@ func (c *Cluster) RemoveNode(id can.NodeID) []*Job {
 	}
 	r.queue = nil
 	c.submitted -= len(orphans) // re-submission will recount them
-	c.noteMembership(r, true)
-	c.notifyLoad(r, true)
+	c.notifyLoad(r)
 	return orphans
 }
 
@@ -386,7 +308,7 @@ func (c *Cluster) finish(r *Runtime, j *Job, now sim.Time) {
 	c.finished++
 	cntFinished.Inc()
 	c.advance(r, now)
-	c.notifyLoad(r, false)
+	c.notifyLoad(r)
 	if c.OnFinish != nil {
 		c.OnFinish(j)
 	}

@@ -13,8 +13,8 @@ func drain(c *Cluster) (ids []can.NodeID, enumerable bool) {
 	return ids, enumerable
 }
 
-// TestClusterDirtyTracking pins the dirty-set protocol the incremental
-// aggregation table consumes: the first drain is non-enumerable (events
+// TestClusterDirtyTracking pins the dirty-set protocol the schedulers'
+// candidate indexes consume: the first drain is non-enumerable (events
 // predate the consumer), subsequent drains enumerate exactly the nodes
 // whose load-relevant state changed, in event order, deduplicated, and
 // MarkAllDirty forces the fallback again.
@@ -77,75 +77,5 @@ func TestClusterDirtyTracking(t *testing.T) {
 	ids, enumerable = drain(c)
 	if !enumerable || len(ids) != 0 {
 		t.Fatalf("drain after poison consumed: got (%v, %v), want enumerable and empty", ids, enumerable)
-	}
-}
-
-// drainMem collects one DrainMembership pass.
-func drainMem(c *Cluster) (evs []MembershipEvent, enumerable bool) {
-	enumerable = c.DrainMembership(func(ev MembershipEvent) { evs = append(evs, ev) })
-	return evs, enumerable
-}
-
-// TestClusterMembershipDeltas pins the membership delta log the
-// incremental candidate indexes consume: the first drain is
-// non-enumerable, subsequent drains replay add/remove events in order
-// (without deduplication — remove-then-re-add must arrive as two
-// entries), removed entries keep their Caps, MarkAllDirty poisons the
-// log, and overflowing the undrained log collapses it to the
-// all-changed state instead of growing without bound.
-func TestClusterMembershipDeltas(t *testing.T) {
-	_, c := newTestCluster(0)
-	c.AddNode(1, testCaps(1.0, 4))
-
-	evs, enumerable := drainMem(c)
-	if enumerable || evs != nil {
-		t.Fatalf("first drain: got (%v, %v), want non-enumerable and no callbacks", evs, enumerable)
-	}
-
-	c.AddNode(2, testCaps(2.0, 8))
-	c.AddNode(3, testCaps(1.0, 4))
-	c.RemoveNode(2)
-	evs, enumerable = drainMem(c)
-	if !enumerable || len(evs) != 3 {
-		t.Fatalf("delta drain: got (%v, %v), want 3 events", evs, enumerable)
-	}
-	if evs[0].Runtime.ID != 2 || evs[0].Removed ||
-		evs[1].Runtime.ID != 3 || evs[1].Removed ||
-		evs[2].Runtime.ID != 2 || !evs[2].Removed {
-		t.Fatalf("delta drain order wrong: %+v", evs)
-	}
-	if evs[2].Runtime.Caps == nil || evs[2].Runtime.Caps.CE(0) == nil || evs[2].Runtime.Caps.CE(0).Clock != 2.0 {
-		t.Fatal("removed runtime lost its Caps")
-	}
-
-	// Remove-then-re-add of the same id must replay as two ordered
-	// events, not collapse.
-	c.RemoveNode(3)
-	c.AddNode(3, testCaps(3.0, 2))
-	evs, enumerable = drainMem(c)
-	if !enumerable || len(evs) != 2 || !evs[0].Removed || evs[1].Removed || evs[1].Runtime.Caps.CE(0).Clock != 3.0 {
-		t.Fatalf("remove/re-add drain: %+v (%v)", evs, enumerable)
-	}
-
-	// MarkAllDirty poisons exactly one drain.
-	c.AddNode(9, testCaps(1.0, 1))
-	c.MarkAllDirty()
-	evs, enumerable = drainMem(c)
-	if enumerable || evs != nil {
-		t.Fatalf("poisoned drain: got (%v, %v)", evs, enumerable)
-	}
-	evs, enumerable = drainMem(c)
-	if !enumerable || len(evs) != 0 {
-		t.Fatalf("drain after poison: got (%v, %v), want enumerable and empty", evs, enumerable)
-	}
-
-	// Overflow with no consumer collapses to the all-changed state.
-	for i := 0; i <= memLogCap; i++ {
-		c.AddNode(can.NodeID(100+i), testCaps(1.0, 1))
-		c.RemoveNode(can.NodeID(100 + i))
-	}
-	evs, enumerable = drainMem(c)
-	if enumerable || evs != nil {
-		t.Fatalf("overflowed drain: got (%d events, %v), want non-enumerable", len(evs), enumerable)
 	}
 }

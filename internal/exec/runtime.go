@@ -41,7 +41,7 @@ type Runtime struct {
 	ces   []ceState // parallel to Caps.CEs
 	run   []*Job    // running jobs, kept sorted by id
 	// dirty marks membership in the cluster's dirty list (the delta
-	// channel consumed by the scheduler's incremental aggregation);
+	// channel consumed by the scheduler's candidate index);
 	// maintained by Cluster.notifyLoad / Cluster.DrainDirty only.
 	dirty bool
 	done  int

@@ -252,13 +252,8 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 		CV:          stats.CoefficientOfVariation(work),
 		MaxOverMean: stats.MaxOverMean(work),
 	}
-	switch s := scheduler.(type) {
-	case *sched.CanHet:
-		res.Sched = s.Stats
-	case *sched.CanHom:
-		res.Sched = s.Stats
-	case *sched.Central:
-		res.Sched = s.Stats
+	if st := sched.StatsOf(scheduler); st != nil {
+		res.Sched = *st
 	}
 	if res.WaitTimes.N() != res.Placed {
 		return nil, fmt.Errorf("experiments: %d jobs placed but %d finished", res.Placed, res.WaitTimes.N())

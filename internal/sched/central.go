@@ -1,19 +1,12 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/exec"
-	"hetgrid/internal/perf"
 	"hetgrid/internal/resource"
-)
-
-var (
-	cntCentralRebuilds  = perf.NewCounter("sched.central_index_rebuilds")
-	cntCentralSplices   = perf.NewCounter("sched.central_index_splices")
-	cntCentralFastPath  = perf.NewCounter("sched.central_fastpath_picks")
-	cntCentralFullScans = perf.NewCounter("sched.central_full_scans")
 )
 
 // Central is the greedy online centralized comparator of Section V-A:
@@ -25,20 +18,21 @@ var (
 // online decentralized schemes.
 //
 // Placement is served from an incremental candidate index instead of a
-// full population scan per job: the cluster notifies the index on every
-// queue/idleness transition, and the overlay's membership version keys
-// the static capability ranking. The index changes only how candidates
-// are enumerated — the chosen node, and therefore every simulation
-// output byte, is identical to the full scan (the selection rules are
-// order-independent argmax/argmin with ID tie-breaks).
+// full population scan per job. Each fact has one delta source: load
+// and idleness come from the cluster's dirty set, drained once per
+// placement, and membership from the overlay's per-node change stamps,
+// which key the static capability ranking. The index changes only how
+// candidates are enumerated — the chosen node, and therefore every
+// simulation output byte, is identical to the full scan (the selection
+// rules are order-independent argmax/argmin with ID tie-breaks).
 type Central struct {
 	ctx   *Context
 	Stats Stats
 	idx   *centralIndex
 }
 
-// NewCentral builds the centralized comparator and attaches its
-// candidate index to the cluster's load-change feed.
+// NewCentral builds the centralized comparator. Its candidate index
+// becomes the single consumer of the cluster's dirty set.
 func NewCentral(ctx *Context) *Central {
 	return &Central{ctx: ctx, idx: newCentralIndex(ctx.Ov, ctx.Cluster)}
 }
@@ -55,20 +49,17 @@ func (s *Central) Place(j *exec.Job) (can.NodeID, error) {
 	ix.ensure()
 	s.ctx.probeBegin(j)
 	if id, ok := ix.bestFree(j.Req, j.Dominant); ok {
-		cntCentralFastPath.Inc()
 		s.Stats.FreePicks++
 		s.Stats.Placed++
 		s.ctx.probeMatch(id, "free")
 		return id, nil
 	}
 	if id, ok := ix.bestAcceptable(j.Req, j.Dominant); ok {
-		cntCentralFastPath.Inc()
 		s.Stats.AcceptPicks++
 		s.Stats.Placed++
 		s.ctx.probeMatch(id, "accept")
 		return id, nil
 	}
-	cntCentralFullScans.Inc()
 	sat := ix.satisfying(j.Req)
 	if len(sat) > 0 {
 		s.Stats.ScorePicks++
@@ -85,12 +76,12 @@ func (s *Central) Place(j *exec.Job) (can.NodeID, error) {
 // centralIndex maintains the comparator's candidate sets:
 //
 //   - idle: nodes with no running or queued jobs (the paper's free
-//     nodes), maintained by cluster load notifications;
+//     nodes), refiled from the cluster's dirty set;
 //   - emptyQ: nodes with an empty FIFO queue (the superset that can
-//     contain acceptable nodes), maintained the same way;
-//   - ranked: per CE type, all capable nodes ordered by (clock desc,
-//     ID asc) — exactly pickFastest's preference order — cached against
-//     the overlay's membership version.
+//     contain acceptable nodes), refiled the same way;
+//   - ranked: per CE type, all capable overlay nodes ordered by (clock
+//     desc, ID asc) — exactly pickFastest's preference order — synced
+//     from the overlay's change stamps.
 type centralIndex struct {
 	ov *can.Overlay
 	cl *exec.Cluster
@@ -99,79 +90,66 @@ type centralIndex struct {
 	version uint64
 	nodes   []*can.Node // ov.Nodes() snapshot, ID ascending
 	ranked  map[resource.CEType][]*can.Node
+	changed []can.NodeID // AppendChanged scratch, ID ascending
 
 	idle    map[can.NodeID]*exec.Runtime
 	emptyQ  map[can.NodeID]*exec.Runtime
 	scratch []*can.Node
 
-	// memFail doubles as the membership drain's discard switch (set
-	// before draining into an index that needs a full rebuild anyway)
-	// and its failure flag (set when an event cannot be resolved against
-	// the ranked lists, forcing the rebuild fallback).
-	memFail bool
+	rebuilds, syncs int // ranked-list rebuilds and stamp syncs
 }
 
 func newCentralIndex(ov *can.Overlay, cl *exec.Cluster) *centralIndex {
-	ix := &centralIndex{
+	return &centralIndex{
 		ov:     ov,
 		cl:     cl,
 		ranked: make(map[resource.CEType][]*can.Node),
 		idle:   make(map[can.NodeID]*exec.Runtime),
 		emptyQ: make(map[can.NodeID]*exec.Runtime),
 	}
-	cl.SetLoadObserver(ix.observe)
-	for _, rt := range cl.Runtimes() {
-		ix.observe(rt, false)
-	}
-	return ix
 }
 
-// observe is the cluster's load-change notification: refile the node in
-// the idle and empty-queue sets.
-func (ix *centralIndex) observe(r *exec.Runtime, removed bool) {
-	if removed {
-		delete(ix.idle, r.ID)
-		delete(ix.emptyQ, r.ID)
-		return
-	}
-	if r.IsFree() {
-		ix.idle[r.ID] = r
-	} else {
-		delete(ix.idle, r.ID)
-	}
-	if r.QueueLen() == 0 {
-		ix.emptyQ[r.ID] = r
-	} else {
-		delete(ix.emptyQ, r.ID)
-	}
-}
-
-// ensure revalidates the membership-keyed caches after churn. A valid
-// index consumes the cluster's membership delta log and splices each
-// added/removed node into or out of the ranked lists by binary search
-// — O(Δ·(log n + n_move)) for Δ events instead of the former
-// O(n log n) re-sort per churn event. The (clock desc, ID asc) key is
-// a total order, so the spliced lists are the identical permutation a
-// full re-sort would produce, and every placement decision is
-// byte-for-byte unchanged. An event that cannot be resolved (a
-// non-enumerable log, an overlay/cluster membership divergence, a
-// duplicate insert) falls back to the full rebuild.
+// ensure brings the index up to date before a placement. Load first:
+// the dirty drain refiles each changed node; a non-enumerable drain
+// (first use, MarkAllDirty) refiles every runtime. Then membership: on
+// first use the ranked lists are built by one full sort; afterwards,
+// whenever the overlay's version has moved, sync catches them up.
 func (ix *centralIndex) ensure() {
-	if ix.valid && ix.version == ix.ov.Version() {
-		return
+	if !ix.cl.DrainDirty(ix.refile) || !ix.valid {
+		clear(ix.idle)
+		clear(ix.emptyQ)
+		for _, rt := range ix.cl.Runtimes() {
+			ix.refile(rt.ID)
+		}
 	}
-	// Consume the log either way so it cannot overflow; when the index
-	// is invalid the events are discarded and the rebuild below starts
-	// from scratch.
-	ix.memFail = !ix.valid
-	enumerable := ix.cl.DrainMembership(ix.applyMembership)
-	if ix.valid && enumerable && !ix.memFail {
-		cntCentralSplices.Inc()
-		ix.nodes = ix.ov.Nodes()
-		ix.version = ix.ov.Version()
-		return
+	switch {
+	case !ix.valid:
+		ix.rebuild()
+	case ix.version != ix.ov.Version():
+		ix.sync()
 	}
-	cntCentralRebuilds.Inc()
+}
+
+// refile files a node in the idle and empty-queue sets by its current
+// runtime state; a node the cluster no longer holds leaves both.
+func (ix *centralIndex) refile(id can.NodeID) {
+	r := ix.cl.Runtime(id)
+	if r != nil && r.IsFree() {
+		ix.idle[id] = r
+	} else {
+		delete(ix.idle, id)
+	}
+	if r != nil && r.QueueLen() == 0 {
+		ix.emptyQ[id] = r
+	} else {
+		delete(ix.emptyQ, id)
+	}
+}
+
+// rebuild files every live overlay node into the ranked lists by one
+// sort per CE type.
+func (ix *centralIndex) rebuild() {
+	ix.rebuilds++
 	ix.nodes = ix.ov.Nodes()
 	ix.version = ix.ov.Version()
 	ix.valid = true
@@ -198,39 +176,37 @@ func (ix *centralIndex) ensure() {
 	}
 }
 
-// applyMembership folds one cluster membership event into the ranked
-// lists. In discard mode (memFail set before the drain) events are
-// dropped; after a resolution failure the flag stops further splicing
-// and the caller rebuilds.
-func (ix *centralIndex) applyMembership(ev exec.MembershipEvent) {
-	if ix.memFail {
-		return
+// sync catches the ranked lists up with every node the overlay stamped
+// since the index's version: each stamped ID's entries are dropped,
+// and each stamped ID that is still live is re-inserted by binary
+// search under its current capabilities. A departed node is found by
+// its ID, so the sync needs no side table and cannot fail, and because
+// (clock desc, ID asc) is a total order the lists come out as the
+// exact permutation a full rebuild would give.
+func (ix *centralIndex) sync() {
+	ix.syncs++
+	ix.changed = ix.ov.AppendChanged(ix.changed[:0], ix.version)
+	ix.version = ix.ov.Version()
+	ix.nodes = ix.ov.Nodes()
+	stamped := func(n *can.Node) bool {
+		_, found := slices.BinarySearch(ix.changed, n.ID)
+		return found
 	}
-	if ev.Removed {
-		if !ix.rankedRemove(ev.Runtime) {
-			ix.memFail = true
+	for t, list := range ix.ranked {
+		ix.ranked[t] = slices.DeleteFunc(list, stamped)
+	}
+	for _, id := range ix.changed {
+		if n := ix.ov.Node(id); n != nil {
+			ix.rankedInsert(n)
 		}
-		return
-	}
-	n := ix.ov.Node(ev.Runtime.ID)
-	if n == nil {
-		// The node joined the cluster but is no longer in the overlay
-		// (it also left within this window, or the memberships diverged)
-		// — only the rebuild can reconcile that.
-		ix.memFail = true
-		return
-	}
-	if !ix.rankedInsert(n) {
-		ix.memFail = true
 	}
 }
 
 // rankedInsert files a node into every ranked list its capabilities
-// belong to, at its (clock desc, ID asc) position. It reports failure
-// on a duplicate entry.
-func (ix *centralIndex) rankedInsert(n *can.Node) bool {
+// belong to, at its (clock desc, ID asc) position.
+func (ix *centralIndex) rankedInsert(n *can.Node) {
 	if n.Caps == nil {
-		return true
+		return
 	}
 	for _, ce := range n.Caps.CEs {
 		ty, clock := ce.Type, ce.Clock
@@ -242,43 +218,8 @@ func (ix *centralIndex) rankedInsert(n *can.Node) bool {
 			}
 			return list[k].ID >= n.ID
 		})
-		if p < len(list) && list[p].ID == n.ID {
-			return false
-		}
-		list = append(list, nil)
-		copy(list[p+1:], list[p:])
-		list[p] = n
-		ix.ranked[ty] = list
+		ix.ranked[ty] = slices.Insert(list, p, n)
 	}
-	return true
-}
-
-// rankedRemove deletes a departed runtime's entries, located by binary
-// search on its retained Caps (the key the entries were filed under —
-// capabilities are immutable for a node's lifetime). It reports failure
-// when an expected entry is missing.
-func (ix *centralIndex) rankedRemove(rt *exec.Runtime) bool {
-	if rt.Caps == nil {
-		return true
-	}
-	for _, ce := range rt.Caps.CEs {
-		ty, clock := ce.Type, ce.Clock
-		list := ix.ranked[ty]
-		p := sort.Search(len(list), func(k int) bool {
-			ck := list[k].Caps.CE(ty).Clock
-			if ck != clock {
-				return ck < clock
-			}
-			return list[k].ID >= rt.ID
-		})
-		if p >= len(list) || list[p].ID != rt.ID {
-			return false
-		}
-		copy(list[p:], list[p+1:])
-		list[len(list)-1] = nil
-		ix.ranked[ty] = list[:len(list)-1]
-	}
-	return true
 }
 
 // bestFree returns the fastest idle node (dominant-CE clock, ties to

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"hetgrid/internal/can"
@@ -125,4 +127,251 @@ func TestCentralIndexMatchesFullScan(t *testing.T) {
 	if s.Stats != refStats {
 		t.Fatalf("final stats diverged: %+v vs reference %+v", s.Stats, refStats)
 	}
+}
+
+// checkCentralIndex requires the synced index to equal one built from
+// scratch: every ranked list entry by entry against a fresh rebuild(),
+// and the idle and empty-queue sets against sets recomputed from the
+// cluster's runtimes.
+func checkCentralIndex(tb testing.TB, ix *centralIndex, step string) {
+	tb.Helper()
+	ref := newCentralIndex(ix.ov, ix.cl)
+	ref.rebuild()
+	for _, m := range []map[resource.CEType][]*can.Node{ix.ranked, ref.ranked} {
+		for ty := range m {
+			if got, want := ix.ranked[ty], ref.ranked[ty]; !slices.Equal(got, want) {
+				tb.Fatalf("%s: ranked[%d] has %d entries %v, rebuild gives %d %v",
+					step, ty, len(got), nodeIDs(got), len(want), nodeIDs(want))
+			}
+		}
+	}
+	idle := make(map[can.NodeID]*exec.Runtime)
+	emptyQ := make(map[can.NodeID]*exec.Runtime)
+	for _, rt := range ix.cl.Runtimes() {
+		if rt.IsFree() {
+			idle[rt.ID] = rt
+		}
+		if rt.QueueLen() == 0 {
+			emptyQ[rt.ID] = rt
+		}
+	}
+	if !maps.Equal(ix.idle, idle) {
+		tb.Fatalf("%s: idle set has %d nodes, the cluster has %d idle", step, len(ix.idle), len(idle))
+	}
+	if !maps.Equal(ix.emptyQ, emptyQ) {
+		tb.Fatalf("%s: empty-queue set has %d nodes, the cluster has %d", step, len(ix.emptyQ), len(emptyQ))
+	}
+}
+
+func nodeIDs(ns []*can.Node) []can.NodeID {
+	ids := make([]can.NodeID, len(ns))
+	for i, n := range ns {
+		ids[i] = n.ID
+	}
+	return ids
+}
+
+// joinNode admits a fresh node to the overlay and then to the cluster,
+// redrawing the virtual coordinate on a point collision.
+func joinNode(ctx *Context, gen *workload.NodeGen, redraw *rng.Stream) can.NodeID {
+	caps := gen.One()
+	node, err := ctx.Ov.Join(ctx.Space.NodePoint(caps), caps)
+	for err != nil {
+		caps.Virtual = redraw.Float64() * 0.999999
+		node, err = ctx.Ov.Join(ctx.Space.NodePoint(caps), caps)
+	}
+	ctx.Cluster.AddNode(node.ID, caps)
+	return node.ID
+}
+
+// TestCentralIndexMatchesRebuild drives the index through the churn
+// interleavings its two delta sources must absorb — several joins and
+// leaves in one window, a join and leave of the same node in one
+// window, a placement while the cluster and the overlay disagree about
+// a departing node (in both orders), take-overs that re-stamp
+// survivors with unchanged capabilities, and a poisoned dirty set —
+// and requires after every placement that the synced ranked lists
+// equal a fresh rebuild and the idle sets equal a recomputation. The
+// index must rebuild once and only sync after that.
+func TestCentralIndexMatchesRebuild(t *testing.T) {
+	ctx, ov, cl := testGrid(t, 60, 2, 17)
+	s := NewCentral(ctx)
+	jobs := workload.NewJobGen(ctx.Space, 17)
+	gen := workload.NewNodeGen(ctx.Space, 1701)
+	r := rng.NewSplit(17, "central-rebuild")
+
+	nextID := exec.JobID(1)
+	lastVersion, wantSyncs := ov.Version(), 0
+	place := func(step string) {
+		t.Helper()
+		if ov.Version() != lastVersion && s.idx.valid {
+			wantSyncs++
+		}
+		lastVersion = ov.Version()
+		j, _ := jobs.Next()
+		j.ID = nextID
+		nextID++
+		id, err := s.Place(j)
+		checkCentralIndex(t, s.idx, step)
+		if err == nil {
+			if err := cl.Submit(j, id); err != nil {
+				t.Fatalf("%s: submit: %v", step, err)
+			}
+		}
+	}
+	survivors := 0 // live nodes a leave stamped: take-over zone rewrites
+	overlayLeave := func(id can.NodeID) {
+		t.Helper()
+		v := ov.Version()
+		if _, err := ov.Leave(id); err != nil {
+			t.Fatalf("leave %d: %v", id, err)
+		}
+		for _, c := range ov.AppendChanged(nil, v) {
+			if c != id && ov.Node(c) != nil {
+				survivors++
+			}
+		}
+	}
+	victim := func() can.NodeID {
+		nodes := ov.Nodes()
+		return nodes[r.Intn(len(nodes))].ID
+	}
+	leave := func(id can.NodeID) {
+		t.Helper()
+		cl.RemoveNode(id)
+		overlayLeave(id)
+	}
+
+	place("first placement")
+	for round := 0; round < 8; round++ {
+		for k := 0; k < 6; k++ {
+			place("load")
+		}
+		ctx.Eng.RunUntil(ctx.Eng.Now().Add(sim.FromSeconds(120 * r.Float64())))
+		place("after completions")
+
+		for k := 0; k < 3; k++ {
+			joinNode(ctx, gen, r)
+			leave(victim())
+		}
+		joinNode(ctx, gen, r)
+		place("several joins and leaves")
+
+		leave(joinNode(ctx, gen, r))
+		place("join and leave of one node")
+
+		v := victim()
+		cl.RemoveNode(v)
+		place("cluster left, overlay not yet")
+		overlayLeave(v)
+		place("overlay caught up")
+
+		v = victim()
+		overlayLeave(v)
+		place("overlay left, cluster not yet")
+		cl.RemoveNode(v)
+		place("cluster caught up")
+
+		if round%3 == 1 {
+			cl.MarkAllDirty()
+			place("dirty set poisoned")
+		}
+	}
+	if survivors == 0 {
+		t.Fatal("no leave stamped a surviving node: take-overs never exercised")
+	}
+	if s.idx.rebuilds != 1 || s.idx.syncs != wantSyncs {
+		t.Fatalf("index rebuilt %d times and synced %d, want 1 rebuild and %d syncs",
+			s.idx.rebuilds, s.idx.syncs, wantSyncs)
+	}
+}
+
+// runCentralScript interprets a byte script as an interleaving of
+// placements, direct submissions, time advances, joins, leaves and
+// dirty-set poisoning over a small heterogeneous grid. Every placement
+// must match referenceCentralPlace in node, error and Stats, and leave
+// the index equal to a rebuild. Leaves withdraw a node from both
+// planes before the next placement, so the reference (which reads the
+// overlay) and the index see one membership.
+func runCentralScript(t *testing.T, seed int64, data []byte) {
+	ctx, ov, cl := testGrid(t, 24, 2, seed)
+	s := NewCentral(ctx)
+	var refStats Stats
+	jobs := workload.NewJobGen(ctx.Space, seed)
+	gen := workload.NewNodeGen(ctx.Space, seed+1)
+	redraw := rng.NewSplit(seed, "central-fuzz")
+	nextID := exec.JobID(1)
+	nextJob := func() *exec.Job {
+		j, _ := jobs.Next()
+		j.ID = nextID
+		nextID++
+		return j
+	}
+	place := func(k int) {
+		j := nextJob()
+		wantID, wantErr := referenceCentralPlace(ctx, &refStats, j)
+		gotID, gotErr := s.Place(j)
+		if gotErr != wantErr || (gotErr == nil && gotID != wantID) {
+			t.Fatalf("op %d: placed on %d (err %v), reference %d (err %v)", k, gotID, gotErr, wantID, wantErr)
+		}
+		if s.Stats != refStats {
+			t.Fatalf("op %d: stats %+v, reference %+v", k, s.Stats, refStats)
+		}
+		checkCentralIndex(t, s.idx, "placement")
+		if gotErr == nil {
+			if err := cl.Submit(j, gotID); err != nil {
+				t.Fatalf("op %d: submit: %v", k, err)
+			}
+		}
+	}
+
+	for k, op := range data {
+		switch op % 8 {
+		case 0, 6: // place through the index and the reference scan
+			place(k)
+		case 1: // submit straight to a node, bypassing the scheduler
+			nodes := ov.Nodes()
+			n := nodes[int(op>>3)%len(nodes)]
+			if j := nextJob(); resource.Satisfies(n.Caps, j.Req) {
+				if err := cl.Submit(j, n.ID); err != nil {
+					t.Fatalf("op %d: submit: %v", k, err)
+				}
+			}
+		case 2: // let jobs finish and queues drain
+			ctx.Eng.RunUntil(ctx.Eng.Now().Add(sim.FromSeconds(float64(1+op>>3) * 30)))
+		case 3:
+			joinNode(ctx, gen, redraw)
+		case 4: // leave, in either plane order
+			nodes := ov.Nodes()
+			if len(nodes) <= 2 {
+				continue
+			}
+			id := nodes[int(op>>3)%len(nodes)].ID
+			if op&0x80 != 0 {
+				cl.RemoveNode(id)
+			}
+			if _, err := ov.Leave(id); err != nil {
+				t.Fatalf("op %d: leave %d: %v", k, id, err)
+			}
+			cl.RemoveNode(id)
+		case 5:
+			cl.MarkAllDirty()
+		case 7: // a short time advance
+			ctx.Eng.RunUntil(ctx.Eng.Now().Add(sim.FromSeconds(float64(1 + op>>5))))
+		}
+	}
+	place(len(data))
+}
+
+// FuzzCentralIndex lets the fuzzer choose the interleaving of load
+// changes, churn and placements that the central index's two delta
+// sources must absorb.
+func FuzzCentralIndex(f *testing.F) {
+	f.Add(int64(1), []byte{0x00, 0x03, 0x0c, 0x00, 0x01, 0x09, 0x02, 0x06, 0x84, 0x00, 0x0b, 0x05, 0x06, 0x1a, 0x00})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		runCentralScript(t, seed, data)
+	})
 }
