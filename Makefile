@@ -1,14 +1,16 @@
 # hetgrid build/verify harness.
 #
 #   make verify   — everything the CI gate runs: a gofmt check, build,
-#                   vet, race tests,
+#                   vet (plus a check that only internal/sim,
+#                   internal/proto, cmd/* and bench import
+#                   internal/perf), race tests,
 #                   the end-to-end benchmark harness's own tests (bench/),
 #                   a 10 s fuzz smoke of the requirement-vector oracle,
 #                   the scenario loader, the sharded engine's
 #                   determinism battery, the aggregation table's
 #                   churn differential and the central comparator's
 #                   candidate index, a short benchmark pass that
-#                   regenerates BENCH_21.json against the BENCH_19.json
+#                   regenerates BENCH_22.json against the BENCH_21.json
 #                   baseline and fails on >15%
 #                   ns/op or allocs/op regressions, the 10k-node ScaleXL,
 #                   100k-node ScaleXXL and 1M-node ScaleXXXL smoke runs,
@@ -36,8 +38,15 @@ fmt-check:
 build:
 	$(GO) build ./...
 
+# vet also fails when a package outside internal/sim, internal/proto
+# and cmd/* imports internal/perf in non-test code (bench/ is its own
+# module and is not listed): the registry holds only the two counters
+# the end-to-end benchmark reads, and must not grow back.
 vet:
 	$(GO) vet ./...
+	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "hetgrid/internal/perf"}}{{$$.ImportPath}} {{end}}{{end}}' ./... \
+		| tr ' ' '\n' | grep -Ev '^(hetgrid/(internal/(sim|proto)|cmd/[^/]+))?$$'); \
+		test -z "$$bad" || { echo "vet: only internal/sim, internal/proto, cmd/* and bench may import hetgrid/internal/perf; found:" $$bad; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -72,7 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChurnIncremental$$' -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzCentralIndex$$' -fuzztime 10s ./internal/sched
 
-# bench regenerates BENCH_21.json: the figure drivers run at 3 iterations
+# bench regenerates BENCH_22.json: the figure drivers run at 3 iterations
 # (each iteration is a full reduced-scale experiment); the hot-path
 # micro-benchmarks — placement, aggregation refresh and greedy CAN
 # routing at d=5 and d=11 (CANRoute) — run at 1000 so the overlay
@@ -84,7 +93,7 @@ fuzz-smoke:
 # run per benchmark — the low-noise estimator (external interference
 # only ever adds time, so min-of-N converges on the true cost as N
 # grows; 3 was not enough on busy shared runners) — before
-# embedding BENCH_19.json entries as baselines; the gate then fails the
+# embedding BENCH_21.json entries as baselines; the gate then fails the
 # build when any entry regresses >15% ns/op, or grows its allocs/op by
 # more than 15% and at least one whole allocation (so the zero-alloc
 # hot paths fail on any new allocation). The microsecond-scale hot
@@ -135,7 +144,7 @@ bench:
 		$(BENCHTMP)_shard1.txt $(BENCHTMP)_shard2.txt \
 		$(BENCHTMP)_tele1.txt $(BENCHTMP)_tele2.txt \
 		$(BENCHTMP)_churn1.txt $(BENCHTMP)_churn2.txt $(BENCHTMP)_hot.txt > $(BENCHTMP)_all.txt
-	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 21 -prev BENCH_19.json -gate 15 -out BENCH_21.json
+	$(GO) run ./cmd/benchjson -parse $(BENCHTMP)_all.txt -pr 22 -prev BENCH_21.json -gate 15 -out BENCH_22.json
 
 # bench-xl is the extra-large smoke: one full 10,000-node load-balance
 # run (reduced job count), proving the incremental aggregation plane

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"hetgrid/internal/experiments"
@@ -24,14 +25,20 @@ func main() {
 	only := flag.String("only", "all", "ablation to run: sf, virtual, staleness, gamma, gpus, bound, failures, churnlb or all")
 	out := flag.String("out", "", "output file (default stdout)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile to this file")
-	perfStats := flag.Bool("perfstats", false, "enable perf timers and print the counter report to stderr")
 	flag.Parse()
 
-	stopPerf, err := perf.Instrument(*pprofPath, *perfStats)
+	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
+		fatal(fmt.Errorf("-scale must be a positive number, got %v", *scale))
+	}
+	stopProfile, err := perf.StartCPUProfile(*pprofPath)
 	if err != nil {
 		fatal(err)
 	}
-	defer stopPerf()
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "ablations: stopping cpu profile:", err)
+		}
+	}()
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

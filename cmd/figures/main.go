@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -38,14 +39,20 @@ func main() {
 	metricsCSV := flag.String("metrics-csv", "", "write sampled telemetry (CSV) to this file (-fig sharded only)")
 	metricsEvery := flag.Float64("metrics-interval", 60, "telemetry sampling interval in virtual seconds")
 	pprofPath := flag.String("pprof", "", "write a CPU profile to this file")
-	perfStats := flag.Bool("perfstats", false, "enable perf timers and print the counter report to stderr")
 	flag.Parse()
 
-	stopPerf, err := perf.Instrument(*pprofPath, *perfStats)
+	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
+		fatal(fmt.Errorf("-scale must be a positive number, got %v", *scale))
+	}
+	stopProfile, err := perf.StartCPUProfile(*pprofPath)
 	if err != nil {
 		fatal(err)
 	}
-	defer stopPerf()
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "figures: stopping cpu profile:", err)
+		}
+	}()
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

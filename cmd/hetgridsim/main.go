@@ -19,7 +19,8 @@
 // virtual clock and writes them as JSONL; -trace records the job
 // lifecycle plus placement spans (route/push/match) for cmd/traceview.
 // Both are telemetry-only: the printed results are identical with or
-// without them.
+// without them. -perfstats prints the run's own event-queue counts
+// (sim.Stats) to stderr; -pprof writes a CPU profile.
 package main
 
 import (
@@ -55,15 +56,19 @@ func main() {
 	metricsEvery := flag.Float64("metrics-interval", 60, "telemetry sampling interval in virtual seconds")
 	tracePath := flag.String("trace", "", "write the event trace with placement spans (JSONL) to this file")
 	pprofPath := flag.String("pprof", "", "write a CPU profile to this file")
-	perfStats := flag.Bool("perfstats", false, "enable perf timers and print the counter report to stderr")
+	perfStats := flag.Bool("perfstats", false, "print the run's event-queue stats (scheduled, fired, cancelled) to stderr")
 	flag.Parse()
 
-	stopPerf, err := perf.Instrument(*pprofPath, *perfStats)
+	stopProfile, err := perf.StartCPUProfile(*pprofPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hetgridsim:", err)
 		os.Exit(1)
 	}
-	defer stopPerf()
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(os.Stderr, "hetgridsim: stopping cpu profile:", err)
+		}
+	}()
 
 	cfg := experiments.LBConfig{
 		Scheme:           experiments.SchemeName(*scheme),
@@ -79,8 +84,8 @@ func main() {
 		Seed:             *seed,
 	}
 	if *seeds > 1 {
-		if *metricsPath != "" || *tracePath != "" {
-			fmt.Fprintln(os.Stderr, "hetgridsim: -metrics/-trace apply to single runs only; ignored with -seeds > 1")
+		if *metricsPath != "" || *tracePath != "" || *perfStats {
+			fmt.Fprintln(os.Stderr, "hetgridsim: -metrics/-trace/-perfstats apply to single runs only; ignored with -seeds > 1")
 		}
 		rep, err := experiments.ReplicateLB(cfg, *seeds, func(r *experiments.LBResult) float64 {
 			return r.WaitTimes.Mean()
@@ -124,6 +129,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "hetgridsim: wrote %d trace events to %s\n", tbuf.Len(), *tracePath)
+	}
+	if *perfStats {
+		ev := res.Events
+		fmt.Fprintf(os.Stderr, "hetgridsim: events scheduled=%d fired=%d cancelled=%d\n", ev.Scheduled, ev.Fired, ev.Cancelled)
 	}
 
 	fmt.Printf("scheme=%s nodes=%d jobs=%d dims=%d arrival=%.1fs constraint=%.0f%%\n",

@@ -4,15 +4,8 @@ import (
 	"fmt"
 
 	"hetgrid/internal/can"
-	"hetgrid/internal/perf"
 	"hetgrid/internal/resource"
 	"hetgrid/internal/sim"
-)
-
-var (
-	cntSubmitted     = perf.NewCounter("exec.jobs_submitted")
-	cntFinished      = perf.NewCounter("exec.jobs_finished")
-	cntRateRefreshes = perf.NewCounter("exec.rate_refreshes")
 )
 
 // Config holds execution-model parameters.
@@ -199,7 +192,6 @@ func (c *Cluster) Submit(j *Job, node can.NodeID) error {
 	r.queue = append(r.queue, j)
 	r.noteQueued(j, +1)
 	c.submitted++
-	cntSubmitted.Inc()
 	c.advance(r, now)
 	c.notifyLoad(r)
 	return nil
@@ -253,7 +245,6 @@ func (c *Cluster) advance(r *Runtime, now sim.Time) {
 // cheap to refresh; nodes run at most a handful of jobs. Jobs are
 // processed in id order so event scheduling stays deterministic.
 func (c *Cluster) refreshRates(r *Runtime, now sim.Time) {
-	cntRateRefreshes.Add(int64(len(r.running())))
 	for _, j := range r.running() {
 		j.syncWork(now)
 		j.rate = c.rate(r, j)
@@ -306,7 +297,6 @@ func (c *Cluster) finish(r *Runtime, j *Job, now sim.Time) {
 	j.State = Finished
 	j.Finished_ = now
 	c.finished++
-	cntFinished.Inc()
 	c.advance(r, now)
 	c.notifyLoad(r)
 	if c.OnFinish != nil {

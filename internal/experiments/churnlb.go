@@ -44,6 +44,9 @@ type ChurnLBResult struct {
 // RunChurnLB executes a load-balancing run with node failures.
 func RunChurnLB(cfg ChurnLBConfig) (*ChurnLBResult, error) {
 	lb := cfg.LB
+	if err := lb.validate(); err != nil {
+		return nil, err
+	}
 	eng := sim.New()
 	space := resource.NewSpace(lb.GPUSlots)
 	ov := can.NewOverlay(space.Dims())

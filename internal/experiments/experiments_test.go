@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetgrid/internal/perf"
 	"hetgrid/internal/proto"
 	"hetgrid/internal/sim"
 )
@@ -42,6 +43,67 @@ func TestRunLoadBalanceRejectsUnknownScheme(t *testing.T) {
 	if _, err := RunLoadBalance(cfg); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
+}
+
+// TestRunLoadBalanceRejectsBadConfig pins the values hetgridsim's flags
+// can reach that the run cannot simulate: each must come back as an
+// error, never a panic or a silently wrong run.
+func TestRunLoadBalanceRejectsBadConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*LBConfig)
+	}{
+		{"zero arrival", func(c *LBConfig) { c.MeanInterArrival = 0 }},
+		{"negative arrival", func(c *LBConfig) { c.MeanInterArrival = sim.FromSeconds(-1) }},
+		{"negative gpu slots", func(c *LBConfig) { c.GPUSlots = -1 }},
+		{"negative jobs", func(c *LBConfig) { c.Jobs = -3 }},
+		{"negative nodes", func(c *LBConfig) { c.Nodes = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallLB(CanHet, 1)
+			tc.edit(&cfg)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if res, err := RunLoadBalance(cfg); err == nil {
+				t.Fatalf("accepted: placed=%d failed=%d", res.Placed, res.Failed)
+			}
+			if _, err := RunChurnLB(ChurnLBConfig{LB: cfg}); err == nil {
+				t.Fatal("churn run accepted")
+			}
+		})
+	}
+}
+
+// TestEventsFiredMatchesRegistry pins the process-wide sim.events_fired
+// count, which the end-to-end benchmark reads as its per-layer
+// sim.events, to the run's own Stats: over one serial run the registry
+// moves by exactly res.Events.Fired. Not parallel, so no other engine
+// fires in between.
+func TestEventsFiredMatchesRegistry(t *testing.T) {
+	before := firedCount()
+	res, err := RunLoadBalance(smallLB(CanHet, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events.Fired == 0 {
+		t.Fatal("run reports no fired events")
+	}
+	if got := firedCount() - before; got != int64(res.Events.Fired) {
+		t.Fatalf("registry moved by %d, run fired %d", got, res.Events.Fired)
+	}
+}
+
+func firedCount() int64 {
+	for _, s := range perf.Snapshot() {
+		if s.Name == "sim.events_fired" {
+			return s.Count
+		}
+	}
+	return 0
 }
 
 // TestSchemeOrderingUnderLoad is the paper's headline claim (Figures 5

@@ -98,6 +98,8 @@ type LBResult struct {
 	// Imbalance summarizes how evenly completed work (busy
 	// core-seconds) spread across nodes.
 	Imbalance Imbalance
+	// Events is the run's own event-queue accounting (RunLoadBalance).
+	Events sim.Stats
 }
 
 // Imbalance captures load-distribution quality across nodes.
@@ -107,10 +109,30 @@ type Imbalance struct {
 	MaxOverMean float64 // classic imbalance factor (1 = even)
 }
 
+// validate rejects the parameter values the run cannot simulate, so a
+// bad CLI flag becomes an error rather than a panic deep in the stack
+// or a silently wrong run (a negative job count never reaches zero).
+func (c *LBConfig) validate() error {
+	switch {
+	case c.Nodes < 0:
+		return fmt.Errorf("experiments: node count %d is negative", c.Nodes)
+	case c.Jobs < 0:
+		return fmt.Errorf("experiments: job count %d is negative", c.Jobs)
+	case c.MeanInterArrival <= 0:
+		return fmt.Errorf("experiments: mean inter-arrival %gs must be positive", c.MeanInterArrival.Seconds())
+	case c.GPUSlots < 0:
+		return fmt.Errorf("experiments: GPU slot count %d is negative", c.GPUSlots)
+	}
+	return nil
+}
+
 // RunLoadBalance executes one configuration to completion: it builds
 // the grid, streams the job arrivals through the chosen matchmaker, and
 // runs until every placed job has finished.
 func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	eng := sim.New()
 	space := resource.NewSpace(cfg.GPUSlots)
 	ov := can.NewOverlay(space.Dims())
@@ -255,6 +277,7 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 	if st := sched.StatsOf(scheduler); st != nil {
 		res.Sched = *st
 	}
+	res.Events = eng.Stats()
 	if res.WaitTimes.N() != res.Placed {
 		return nil, fmt.Errorf("experiments: %d jobs placed but %d finished", res.Placed, res.WaitTimes.N())
 	}

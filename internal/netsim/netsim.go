@@ -7,15 +7,7 @@ package netsim
 
 import (
 	"hetgrid/internal/can"
-	"hetgrid/internal/perf"
 	"hetgrid/internal/sim"
-)
-
-var (
-	cntMsgsSent    = perf.NewCounter("net.msgs_sent")
-	cntBytesSent   = perf.NewCounter("net.bytes_sent")
-	cntDropped     = perf.NewCounter("net.msgs_dropped")
-	cntLinkDropped = perf.NewCounter("net.msgs_link_dropped")
 )
 
 // Kind classifies a message for per-type traffic accounting, so the
@@ -59,6 +51,23 @@ type Counters struct {
 	BytesRecv int64
 }
 
+// add accumulates o into c.
+func (c *Counters) add(o Counters) {
+	c.MsgsSent += o.MsgsSent
+	c.BytesSent += o.BytesSent
+	c.MsgsRecv += o.MsgsRecv
+	c.BytesRecv += o.BytesRecv
+}
+
+// sum returns the total of every kind's counters.
+func sum(kinds *[numKinds]Counters) Counters {
+	var c Counters
+	for _, k := range kinds {
+		c.add(k)
+	}
+	return c
+}
+
 // Net is the transport. Delivery is reliable and ordered per the event
 // queue; failures are modeled at the protocol layer (a dead node's
 // inbound messages are dropped by the delivery hook).
@@ -66,8 +75,8 @@ type Net struct {
 	eng     *sim.Engine
 	latency sim.Duration
 
-	total      Counters
-	window     Counters
+	// Per-kind traffic, cumulative and since the last ResetWindow; the
+	// totals are their sums.
 	kindTotal  [numKinds]Counters
 	kindWindow [numKinds]Counters
 	perNode    map[can.NodeID]*Counters
@@ -128,7 +137,6 @@ func (n *Net) linkDown(src, dst can.NodeID) bool {
 	if !n.linkFault(src, dst) {
 		return false
 	}
-	cntLinkDropped.Inc()
 	n.linkDrops++
 	return true
 }
@@ -146,12 +154,6 @@ func (n *Net) node(id can.NodeID) *Counters {
 }
 
 func (n *Net) countSend(src can.NodeID, size int, kind Kind) {
-	cntMsgsSent.Inc()
-	cntBytesSent.Add(int64(size))
-	n.total.MsgsSent++
-	n.total.BytesSent += int64(size)
-	n.window.MsgsSent++
-	n.window.BytesSent += int64(size)
 	n.kindTotal[kind].MsgsSent++
 	n.kindTotal[kind].BytesSent += int64(size)
 	n.kindWindow[kind].MsgsSent++
@@ -162,10 +164,6 @@ func (n *Net) countSend(src can.NodeID, size int, kind Kind) {
 }
 
 func (n *Net) countRecv(dst can.NodeID, size int, kind Kind) {
-	n.total.MsgsRecv++
-	n.total.BytesRecv += int64(size)
-	n.window.MsgsRecv++
-	n.window.BytesRecv += int64(size)
 	n.kindTotal[kind].MsgsRecv++
 	n.kindTotal[kind].BytesRecv += int64(size)
 	n.kindWindow[kind].MsgsRecv++
@@ -191,7 +189,6 @@ func (n *Net) Send(src, dst can.NodeID, size int, kind Kind, deliver func(now si
 
 	arrive := func(now sim.Time) {
 		if n.deliverable != nil && !n.deliverable(dst) {
-			cntDropped.Inc()
 			return
 		}
 		if n.linkFault != nil && n.linkDown(src, dst) {
@@ -233,7 +230,6 @@ func (e *envelope) Call(now sim.Time) {
 	e.msg = nil
 	n.envPool = append(n.envPool, e)
 	if n.deliverable != nil && !n.deliverable(dst) {
-		cntDropped.Inc()
 		return
 	}
 	if n.linkFault != nil && n.linkDown(src, dst) {
@@ -289,10 +285,10 @@ func (n *Net) SendMsgAt(sent sim.Time, src, dst can.NodeID, size int, kind Kind,
 }
 
 // Total returns cumulative counters since construction.
-func (n *Net) Total() Counters { return n.total }
+func (n *Net) Total() Counters { return sum(&n.kindTotal) }
 
 // Window returns counters accumulated since the last ResetWindow.
-func (n *Net) Window() Counters { return n.window }
+func (n *Net) Window() Counters { return sum(&n.kindWindow) }
 
 // KindTotal returns cumulative counters for one message kind.
 func (n *Net) KindTotal(k Kind) Counters { return n.kindTotal[k] }
@@ -302,10 +298,7 @@ func (n *Net) KindWindow(k Kind) Counters { return n.kindWindow[k] }
 
 // ResetWindow zeroes the measurement window (used to exclude the
 // initial-join warmup from steady-state cost measurements).
-func (n *Net) ResetWindow() {
-	n.window = Counters{}
-	n.kindWindow = [numKinds]Counters{}
-}
+func (n *Net) ResetWindow() { n.kindWindow = [numKinds]Counters{} }
 
 // Node returns the cumulative counters for one node (zero counters if it
 // never communicated).

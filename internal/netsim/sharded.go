@@ -85,53 +85,19 @@ func (sn *ShardedNet) LinkDrops() int64 {
 }
 
 // Total returns cumulative counters summed across facets.
-func (sn *ShardedNet) Total() Counters {
-	var c Counters
-	for _, f := range sn.facets {
-		c.MsgsSent += f.total.MsgsSent
-		c.BytesSent += f.total.BytesSent
-		c.MsgsRecv += f.total.MsgsRecv
-		c.BytesRecv += f.total.BytesRecv
-	}
-	return c
-}
+func (sn *ShardedNet) Total() Counters { return sn.sum((*Net).Total) }
 
 // Window returns the measurement-window counters summed across facets.
-func (sn *ShardedNet) Window() Counters {
-	var c Counters
-	for _, f := range sn.facets {
-		c.MsgsSent += f.window.MsgsSent
-		c.BytesSent += f.window.BytesSent
-		c.MsgsRecv += f.window.MsgsRecv
-		c.BytesRecv += f.window.BytesRecv
-	}
-	return c
-}
+func (sn *ShardedNet) Window() Counters { return sn.sum((*Net).Window) }
 
 // KindTotal returns one kind's cumulative counters across facets.
 func (sn *ShardedNet) KindTotal(k Kind) Counters {
-	var c Counters
-	for _, f := range sn.facets {
-		kc := f.kindTotal[k]
-		c.MsgsSent += kc.MsgsSent
-		c.BytesSent += kc.BytesSent
-		c.MsgsRecv += kc.MsgsRecv
-		c.BytesRecv += kc.BytesRecv
-	}
-	return c
+	return sn.sum(func(f *Net) Counters { return f.kindTotal[k] })
 }
 
 // KindWindow returns one kind's window counters across facets.
 func (sn *ShardedNet) KindWindow(k Kind) Counters {
-	var c Counters
-	for _, f := range sn.facets {
-		kc := f.kindWindow[k]
-		c.MsgsSent += kc.MsgsSent
-		c.BytesSent += kc.BytesSent
-		c.MsgsRecv += kc.MsgsRecv
-		c.BytesRecv += kc.BytesRecv
-	}
-	return c
+	return sn.sum(func(f *Net) Counters { return f.kindWindow[k] })
 }
 
 // ResetWindow zeroes every facet's measurement window. Control-phase
@@ -146,13 +112,14 @@ func (sn *ShardedNet) ResetWindow() {
 // (sends count on the facet whose host sent; receives on the facet that
 // delivered — the sum is the node's true traffic).
 func (sn *ShardedNet) Node(id can.NodeID) Counters {
+	return sn.sum(func(f *Net) Counters { return f.Node(id) })
+}
+
+// sum adds one read of every facet in shard order.
+func (sn *ShardedNet) sum(read func(*Net) Counters) Counters {
 	var c Counters
 	for _, f := range sn.facets {
-		fc := f.Node(id)
-		c.MsgsSent += fc.MsgsSent
-		c.BytesSent += fc.BytesSent
-		c.MsgsRecv += fc.MsgsRecv
-		c.BytesRecv += fc.BytesRecv
+		c.add(read(f))
 	}
 	return c
 }

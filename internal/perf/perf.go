@@ -1,49 +1,35 @@
-// Package perf is the process-wide performance instrumentation registry
-// for the simulation core: named monotonic counters (events processed,
-// messages sent, score evaluations, aggregation refreshes, …) and gated
-// timers, plus a CPU-profile helper for the command-line drivers.
+// Package perf holds the two process-wide counters the end-to-end
+// benchmark (bench/) still reads — sim.events_fired and
+// proto.heartbeat_ticks — and the CPU-profile helper behind the
+// drivers' -pprof flags. Every other count lives in the engine that
+// owns it (sim.Stats, netsim counters, sched and exec stats), scoped to
+// one engine rather than summed over the process.
 //
-// Counters are always on: they are single atomic adds, cheap enough for
-// the hottest paths, and safe under the parallel experiment sweeps.
-// Timers call the wall clock, so they are disabled unless a driver opts
-// in with SetEnabled(true) (the -perfstats flag).
+// A later benchmark change moves bench/'s two reads to those per-engine
+// stats; the package is then deleted.
 //
-// Instrumentation is telemetry only — it never feeds back into
-// simulation state, so the determinism guarantee of DESIGN.md §3 (same
-// seed ⇒ byte-identical output) is unaffected by whether it is enabled.
+// The counters are telemetry only: they never feed back into simulation
+// state, so the determinism guarantee of DESIGN.md §3 is unaffected.
 package perf
 
 import (
-	"fmt"
-	"io"
 	"os"
 	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a named monotonic counter. Create with NewCounter at
-// package init; Add/Inc are safe for concurrent use.
+// package init; Inc is safe for concurrent use.
 type Counter struct {
 	name string
 	v    atomic.Int64
 }
 
-// Timer accumulates wall-clock durations of a named operation. Start
-// is a no-op (returning a no-op stop) while the registry is disabled.
-type Timer struct {
-	name  string
-	ns    atomic.Int64
-	count atomic.Int64
-}
-
 var (
 	mu       sync.Mutex
 	counters = map[string]*Counter{}
-	timers   = map[string]*Timer{}
-	enabled  atomic.Bool
 )
 
 // NewCounter registers (or retrieves) the counter with the given name.
@@ -59,148 +45,34 @@ func NewCounter(name string) *Counter {
 	return c
 }
 
-// NewTimer registers (or retrieves) the timer with the given name.
-func NewTimer(name string) *Timer {
-	mu.Lock()
-	defer mu.Unlock()
-	if t := timers[name]; t != nil {
-		return t
-	}
-	t := &Timer{name: name}
-	timers[name] = t
-	return t
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
-var noopStop = func() {}
-
-// Start begins one timed operation and returns the function that ends
-// it. When the registry is disabled both ends are no-ops.
-func (t *Timer) Start() func() {
-	if !enabled.Load() {
-		return noopStop
-	}
-	begin := time.Now()
-	return func() {
-		t.ns.Add(int64(time.Since(begin)))
-		t.count.Add(1)
-	}
-}
-
-// Total returns the accumulated duration and the number of timed
-// operations.
-func (t *Timer) Total() (time.Duration, int64) {
-	return time.Duration(t.ns.Load()), t.count.Load()
-}
-
-// SetEnabled turns timers on or off. Counters are unaffected (always
-// on).
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether timers are active.
-func Enabled() bool { return enabled.Load() }
-
-// Reset zeroes every registered counter and timer (for tests and for
-// per-phase reporting in drivers).
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, c := range counters {
-		c.v.Store(0)
-	}
-	for _, t := range timers {
-		t.ns.Store(0)
-		t.count.Store(0)
-	}
-}
 
 // Stat is one registry entry in a Snapshot.
 type Stat struct {
 	Name  string
-	Count int64         // counter value, or timed-operation count
-	Total time.Duration // zero for counters
+	Count int64
 }
 
-// Snapshot returns all registered entries sorted by name. Counters come
-// back with Total == 0; timers carry both the op count and total time.
+// Snapshot returns all registered counters sorted by name.
 func Snapshot() []Stat {
 	mu.Lock()
 	defer mu.Unlock()
-	out := make([]Stat, 0, len(counters)+len(timers))
+	out := make([]Stat, 0, len(counters))
 	for _, c := range counters {
 		out = append(out, Stat{Name: c.name, Count: c.v.Load()})
-	}
-	for _, t := range timers {
-		out = append(out, Stat{Name: t.name, Count: t.count.Load(), Total: time.Duration(t.ns.Load())})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Fprint renders the registry as an aligned two/three column report,
-// skipping zero entries.
-func Fprint(w io.Writer) {
-	stats := Snapshot()
-	width := 0
-	for _, s := range stats {
-		if s.Count != 0 && len(s.Name) > width {
-			width = len(s.Name)
-		}
-	}
-	for _, s := range stats {
-		if s.Count == 0 {
-			continue
-		}
-		if s.Total > 0 {
-			per := time.Duration(int64(s.Total) / s.Count)
-			fmt.Fprintf(w, "%-*s  %12d  total=%v avg=%v\n", width, s.Name, s.Count, s.Total, per)
-		} else {
-			fmt.Fprintf(w, "%-*s  %12d\n", width, s.Name, s.Count)
-		}
-	}
-}
-
-// Instrument wires the standard driver flags in one call: cpuProfile
-// (the -pprof flag; empty disables profiling) starts a CPU profile, and
-// stats (the -perfstats flag) enables timers now and prints the registry
-// report to stderr at stop. The returned stop function is safe to defer
-// unconditionally.
-func Instrument(cpuProfile string, stats bool) (stop func(), err error) {
-	var stopProfile func() error
-	if cpuProfile != "" {
-		stopProfile, err = StartCPUProfile(cpuProfile)
-		if err != nil {
-			return nil, err
-		}
-	}
-	SetEnabled(stats)
-	return func() {
-		if stopProfile != nil {
-			if err := stopProfile(); err != nil {
-				fmt.Fprintln(os.Stderr, "perf: stopping cpu profile:", err)
-			}
-		}
-		if stats {
-			fmt.Fprintln(os.Stderr, "--- perf counters ---")
-			Fprint(os.Stderr)
-		}
-	}, nil
-}
-
 // StartCPUProfile begins writing a CPU profile to path and returns the
-// stop function. Drivers wire this to a -pprof flag.
+// stop function. Drivers wire this to a -pprof flag; an empty path
+// profiles nothing and returns a no-op stop.
 func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err

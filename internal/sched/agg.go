@@ -12,11 +12,8 @@ import (
 
 	"hetgrid/internal/can"
 	"hetgrid/internal/exec"
-	"hetgrid/internal/perf"
 	"hetgrid/internal/resource"
 )
-
-var tmrAggRefresh = perf.NewTimer("sched.agg_refresh")
 
 // CELoad is the aggregated load information for one CE type in a region
 // of the CAN: the inputs to Equation 3.
@@ -593,7 +590,6 @@ func (a *AggTable) syncMembership(ov *can.Overlay, cl *exec.Cluster) {
 // Refresh is the dirty set's single consumer; a second table over the
 // same cluster must use RefreshFull.
 func (a *AggTable) Refresh(ov *can.Overlay, cl *exec.Cluster) {
-	defer tmrAggRefresh.Start()()
 	a.stats.Refreshes++
 	a.stats.LastDirty = 0
 	if a.ov != ov {
@@ -633,7 +629,6 @@ func (a *AggTable) Refresh(ov *can.Overlay, cl *exec.Cluster) {
 // and the safe choice for any additional table sharing a cluster whose
 // dirty channel is already claimed.
 func (a *AggTable) RefreshFull(ov *can.Overlay, cl *exec.Cluster) {
-	defer tmrAggRefresh.Start()()
 	a.stats.Refreshes++
 	a.stats.LastDirty = 0
 	if a.ov != ov || a.version != ov.Version() {

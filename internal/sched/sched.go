@@ -7,15 +7,9 @@ import (
 	"hetgrid/internal/can"
 	"hetgrid/internal/exec"
 	"hetgrid/internal/geom"
-	"hetgrid/internal/perf"
 	"hetgrid/internal/resource"
 	"hetgrid/internal/rng"
 	"hetgrid/internal/sim"
-)
-
-var (
-	cntScoreEvals = perf.NewCounter("sched.score_evals")
-	cntFallbacks  = perf.NewCounter("sched.fallback_scans")
 )
 
 // Scheduler assigns a run node to each job. Place returns the chosen
@@ -292,7 +286,6 @@ func pickFastest(nodes []*can.Node, t resource.CEType) *can.Node {
 func (c *Context) pickMinScore(nodes []*can.Node, t resource.CEType) *can.Node {
 	var best *can.Node
 	bestScore := 0.0
-	cntScoreEvals.Add(int64(len(nodes)))
 	for _, n := range nodes {
 		rt := c.Cluster.Runtime(n.ID)
 		if rt == nil {
@@ -373,6 +366,5 @@ func (c *Context) fallback(req resource.JobReq, t resource.CEType, st *Stats) *c
 		return nil
 	}
 	st.Fallbacks++
-	cntFallbacks.Inc()
 	return c.pickMinScore(sat, t)
 }

@@ -112,8 +112,8 @@ func runShardTestWorkload(t *testing.T, shards, workers int, seed uint64, horizo
 		}
 	}
 	st := se.Stats()
-	fmt.Fprintf(&b, "stats scheduled=%d fired=%d cancelled=%d pooled=%d pending=%d now=%d\n",
-		st.Scheduled, st.Fired, st.Cancelled, st.Pooled, se.Pending(), se.Now())
+	fmt.Fprintf(&b, "stats scheduled=%d fired=%d cancelled=%d pending=%d now=%d\n",
+		st.Scheduled, st.Fired, st.Cancelled, se.Pending(), se.Now())
 	return b.String()
 }
 
@@ -237,8 +237,8 @@ func TestShardedRunUntil(t *testing.T) {
 }
 
 // TestEngineScopedStats guards the satellite bugfix: two engines in one
-// process keep independent event accounting (the package-level perf
-// counters aggregate process-wide by design, but Stats must not).
+// process keep independent event accounting (the package-level
+// sim.events_fired counter aggregates process-wide, but Stats must not).
 func TestEngineScopedStats(t *testing.T) {
 	e1, e2 := New(), New()
 	for i := 0; i < 3; i++ {

@@ -13,30 +13,21 @@ import (
 	"hetgrid/internal/perf"
 )
 
-// Registry instrumentation for the engine hot path (telemetry only;
-// never feeds back into simulation state). These are process-wide
-// atomics: with several engines in one process (scenario tests, the
-// sharded core's per-shard engines) they aggregate across all of them.
-// Per-engine accounting lives in Engine.Stats, which each engine owns
-// exclusively — the registry totals are for -perfstats style telemetry
-// only and must never be read back as one engine's count.
-var (
-	cntScheduled = perf.NewCounter("sim.events_scheduled")
-	cntFired     = perf.NewCounter("sim.events_fired")
-	cntCancelled = perf.NewCounter("sim.events_cancelled")
-	cntPooled    = perf.NewCounter("sim.events_pooled")
-)
+// cntFired is the one process-wide count left on the engine hot path:
+// the end-to-end benchmark reads it. It sums over every engine in the
+// process, so it must never be read back as one engine's count; that is
+// Engine.Stats.
+var cntFired = perf.NewCounter("sim.events_fired")
 
-// Stats is one engine's lifetime event-queue accounting. Unlike the
-// process-wide perf registry counters (which sum over every engine in
-// the process), a Stats value is scoped to a single engine, so two
-// engines running in one process — or one process' worth of shard
-// engines — never cross-contaminate each other's counts.
+// Stats is one engine's lifetime event-queue accounting, scoped to that
+// engine: two engines in one process, or one process' worth of shard
+// engines, never cross-contaminate each other's counts. Every fired or
+// cancelled event returns to the engine's pool, so pool returns are
+// Fired + Cancelled.
 type Stats struct {
 	Scheduled uint64
 	Fired     uint64
 	Cancelled uint64
-	Pooled    uint64
 }
 
 // add accumulates other into s (the deterministic shard-merge).
@@ -44,7 +35,6 @@ func (s *Stats) add(o Stats) {
 	s.Scheduled += o.Scheduled
 	s.Fired += o.Fired
 	s.Cancelled += o.Cancelled
-	s.Pooled += o.Pooled
 }
 
 // Time is a point in virtual time, measured in Ticks since the start of
@@ -229,7 +219,6 @@ type Engine struct {
 	queue   eventQueue
 	pool    []*event // recycled events; bounded by peak queue length
 	nextSeq uint64
-	fired   uint64
 	stopped bool
 	stats   Stats
 }
@@ -241,7 +230,7 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
+func (e *Engine) Fired() uint64 { return e.stats.Fired }
 
 // Stats returns this engine's own event accounting (see Stats).
 func (e *Engine) Stats() Stats { return e.stats }
@@ -292,7 +281,6 @@ func (e *Engine) schedule(at Time, h Handler, c Caller) EventID {
 	e.nextSeq++
 	e.queue.push(ev)
 	e.stats.Scheduled++
-	cntScheduled.Inc()
 	return EventID{ev: ev, gen: ev.gen}
 }
 
@@ -303,8 +291,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.handler = nil // release the closure promptly
 	ev.caller = nil
 	e.pool = append(e.pool, ev)
-	e.stats.Pooled++
-	cntPooled.Inc()
 }
 
 // After schedules h to run d ticks from now. Negative d is treated as 0.
@@ -324,7 +310,6 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	e.recycle(e.queue.remove(id.ev.index))
 	e.stats.Cancelled++
-	cntCancelled.Inc()
 	return true
 }
 
@@ -340,7 +325,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.queue.remove(0)
 	e.now = ev.at
-	e.fired++
 	e.stats.Fired++
 	cntFired.Inc()
 	// Capture the handler, then recycle before invoking it: the handler
