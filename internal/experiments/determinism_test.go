@@ -47,8 +47,24 @@ func renderAllFigures(tb testing.TB, mc *MetricsCollector) []byte {
 // Regenerate deliberately with: go test ./internal/experiments -run
 // Golden -update
 func TestGoldenFigureDeterminism(t *testing.T) {
-	got := renderAllFigures(t, nil)
-	path := filepath.Join("testdata", "golden_figures.txt")
+	checkGolden(t, "golden_figures.txt", renderAllFigures(t, nil))
+}
+
+// TestGoldenChurnLB pins the churn-extension table (load balancing while
+// nodes fail and rejoin) to its golden, the same way.
+func TestGoldenChurnLB(t *testing.T) {
+	var buf bytes.Buffer
+	if err := AblationChurnLB(&buf, goldenScale, 1); err != nil {
+		t.Fatalf("AblationChurnLB: %v", err)
+	}
+	checkGolden(t, "golden_churnlb.txt", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name byte for byte, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -64,7 +80,7 @@ func TestGoldenFigureDeterminism(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("figure output diverged from golden %s:\n%s", path, firstDiff(got, want))
+		t.Fatalf("output diverged from golden %s:\n%s", path, firstDiff(got, want))
 	}
 }
 

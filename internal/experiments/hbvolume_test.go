@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -19,25 +17,7 @@ func TestGoldenHBVolume(t *testing.T) {
 	if _, err := FigureHB(&buf, goldenScale, 1, nil); err != nil {
 		t.Fatalf("FigureHB: %v", err)
 	}
-	got := buf.Bytes()
-	path := filepath.Join("testdata", "golden_hbvolume.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("HB figure diverged from golden %s:\n%s", path, firstDiff(got, want))
-	}
+	checkGolden(t, "golden_hbvolume.txt", buf.Bytes())
 }
 
 // TestMetricsByteIdentity is the telemetry plane's central contract:
