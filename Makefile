@@ -65,7 +65,8 @@ bench-harness:
 # seed corpora (which `go test` already replays): FuzzJobReq compares
 # the type-sorted CE requirement vector with its map-keyed oracle,
 # FuzzScenarioLoad feeds mutated scenario YAML through parse, decode and
-# validate, which must return errors, never panic,
+# validate, which must return errors, never panic, and builds each
+# accepted spec of at most 64 nodes with NewWorld, which must not panic,
 # FuzzShardedDeterminism requires a random actor workload to report
 # byte-identically at every (S, W), FuzzChurnIncremental requires
 # the aggregation table, synchronized across random churn and refresh

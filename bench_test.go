@@ -354,10 +354,9 @@ func BenchmarkPlaceSteadyState(b *testing.B) {
 	redraw := rng.New(88)
 	for i := 0; i < 500; i++ {
 		caps := gen.One()
-		n, err := ov.Join(space.NodePoint(caps), caps)
-		for err != nil {
-			caps.Virtual = redraw.Float64() * 0.999999
-			n, err = ov.Join(space.NodePoint(caps), caps)
+		n, err := can.JoinRedraw(ov.Join, space, caps, redraw)
+		if err != nil {
+			b.Fatal(err)
 		}
 		cl.AddNode(n.ID, caps)
 	}
@@ -415,10 +414,9 @@ func BenchmarkPlaceSteadyStateMetricsOn(b *testing.B) {
 	redraw := rng.New(88)
 	for i := 0; i < 500; i++ {
 		caps := gen.One()
-		n, err := ov.Join(space.NodePoint(caps), caps)
-		for err != nil {
-			caps.Virtual = redraw.Float64() * 0.999999
-			n, err = ov.Join(space.NodePoint(caps), caps)
+		n, err := can.JoinRedraw(ov.Join, space, caps, redraw)
+		if err != nil {
+			b.Fatal(err)
 		}
 		cl.AddNode(n.ID, caps)
 	}
@@ -483,10 +481,9 @@ func BenchmarkAggRefresh(b *testing.B) {
 	redraw := rng.New(9)
 	for i := 0; i < 1000; i++ {
 		caps := gen.One()
-		n, err := ov.Join(space.NodePoint(caps), caps)
-		for err != nil {
-			caps.Virtual = redraw.Float64() * 0.999999
-			n, err = ov.Join(space.NodePoint(caps), caps)
+		n, err := can.JoinRedraw(ov.Join, space, caps, redraw)
+		if err != nil {
+			b.Fatal(err)
 		}
 		cl.AddNode(n.ID, caps)
 	}

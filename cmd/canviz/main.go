@@ -37,10 +37,10 @@ func main() {
 	redraw := rng.NewSplit(*seed, "redraw")
 	for i := 0; i < *nodes; i++ {
 		caps := gen.One()
-		n, err := ov.Join(space.NodePoint(caps), caps)
-		for err != nil {
-			caps.Virtual = redraw.Float64() * 0.999999
-			n, err = ov.Join(space.NodePoint(caps), caps)
+		n, err := can.JoinRedraw(ov.Join, space, caps, redraw)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "canviz: join node %d: %v\n", i, err)
+			os.Exit(1)
 		}
 		cl.AddNode(n.ID, caps)
 	}

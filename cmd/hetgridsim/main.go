@@ -32,6 +32,7 @@ import (
 	"hetgrid/internal/experiments"
 	"hetgrid/internal/metrics"
 	"hetgrid/internal/perf"
+	"hetgrid/internal/resource"
 	"hetgrid/internal/sim"
 	"hetgrid/internal/stats"
 	"hetgrid/internal/trace"
@@ -136,7 +137,7 @@ func main() {
 	}
 
 	fmt.Printf("scheme=%s nodes=%d jobs=%d dims=%d arrival=%.1fs constraint=%.0f%%\n",
-		cfg.Scheme, cfg.Nodes, cfg.Jobs, 4+3*cfg.GPUSlots+1, *arrival, *constraint*100)
+		cfg.Scheme, cfg.Nodes, cfg.Jobs, resource.NewSpace(cfg.GPUSlots).Dims(), *arrival, *constraint*100)
 	fmt.Printf("placed=%d failed=%d makespan=%.0fs\n", res.Placed, res.Failed, res.Makespan.Seconds())
 	fmt.Printf("matchmaking: %v\n\n", res.Sched)
 

@@ -96,8 +96,8 @@ type Grid struct {
 // New creates an empty grid.
 func New(opts Options) (*Grid, error) {
 	opts = opts.withDefaults()
-	if opts.GPUSlots < 0 || opts.GPUSlots > 8 {
-		return nil, fmt.Errorf("hetgrid: GPUSlots %d outside 0..8", opts.GPUSlots)
+	if opts.GPUSlots < 0 || opts.GPUSlots > resource.MaxGPUSlots {
+		return nil, fmt.Errorf("hetgrid: GPUSlots %d outside 0..%d", opts.GPUSlots, resource.MaxGPUSlots)
 	}
 	eng := sim.New()
 	space := resource.NewSpace(opts.GPUSlots)
@@ -116,15 +116,9 @@ func New(opts Options) (*Grid, error) {
 		virtuals: rng.NewSplit(opts.Seed, "grid.virtual"),
 		nextJob:  1,
 	}
-	switch opts.Scheme {
-	case SchemeCanHet:
-		g.scheduler = sched.NewCanHet(ctx)
-	case SchemeCanHom:
-		g.scheduler = sched.NewCanHom(ctx)
-	case SchemeCentral:
-		g.scheduler = sched.NewCentral(ctx)
-	default:
-		return nil, fmt.Errorf("hetgrid: unknown scheme %q", opts.Scheme)
+	var err error
+	if g.scheduler, err = sched.New(string(opts.Scheme), ctx); err != nil {
+		return nil, fmt.Errorf("hetgrid: %w", err)
 	}
 	return g, nil
 }
@@ -135,13 +129,7 @@ func (g *Grid) AddNode(spec NodeSpec) (NodeID, error) {
 	if err != nil {
 		return 0, err
 	}
-	node, err := g.joinWithRetry(caps)
-	if err != nil {
-		return 0, err
-	}
-	g.cluster.AddNode(node.ID, caps)
-	g.record(trace.NodeJoin, NodeID(node.ID), -1, 0)
-	return NodeID(node.ID), nil
+	return g.admit(caps)
 }
 
 // AddRandomNodes admits n nodes drawn from the synthetic population of
@@ -151,29 +139,24 @@ func (g *Grid) AddRandomNodes(n int) ([]NodeID, error) {
 	gen := workload.NewNodeGen(g.space, rng.Split(g.opts.Seed, "grid.nodes"))
 	ids := make([]NodeID, 0, n)
 	for i := 0; i < n; i++ {
-		caps := gen.One()
-		node, err := g.joinWithRetry(caps)
+		id, err := g.admit(gen.One())
 		if err != nil {
 			return ids, err
 		}
-		g.cluster.AddNode(node.ID, caps)
-		g.record(trace.NodeJoin, NodeID(node.ID), -1, 0)
-		ids = append(ids, NodeID(node.ID))
+		ids = append(ids, id)
 	}
 	return ids, nil
 }
 
-func (g *Grid) joinWithRetry(caps *resource.NodeCaps) (*can.Node, error) {
-	for try := 0; ; try++ {
-		node, err := g.ov.Join(g.space.NodePoint(caps), caps)
-		if err == nil {
-			return node, nil
-		}
-		if err != can.ErrDuplicatePoint || try >= 8 {
-			return nil, err
-		}
-		caps.Virtual = g.virtuals.Float64() * 0.999999
+// admit joins a node to the overlay and the cluster.
+func (g *Grid) admit(caps *resource.NodeCaps) (NodeID, error) {
+	node, err := can.JoinRedraw(g.ov.Join, g.space, caps, g.virtuals)
+	if err != nil {
+		return 0, err
 	}
+	g.cluster.AddNode(node.ID, caps)
+	g.record(trace.NodeJoin, NodeID(node.ID), -1, 0)
+	return NodeID(node.ID), nil
 }
 
 // RemoveNode withdraws a node from the grid: its CAN zone is taken over

@@ -28,6 +28,7 @@ import (
 
 	"hetgrid/internal/geom"
 	"hetgrid/internal/resource"
+	"hetgrid/internal/rng"
 )
 
 // NodeID identifies a node in the overlay. IDs are assigned sequentially
@@ -242,6 +243,20 @@ func (o *Overlay) snapLeave(id NodeID) {
 // collides exactly with the owner of the zone it lands in; the caller
 // should redraw the virtual coordinate and retry.
 var ErrDuplicatePoint = errors.New("can: joining point coincides with zone owner's point")
+
+// JoinRedraw admits a node at caps' point through join (Overlay.Join,
+// or a protocol simulator's JoinNode). On ErrDuplicatePoint it redraws
+// caps.Virtual from redraw and retries, at most eight times; any other
+// error returns at once.
+func JoinRedraw(join func(geom.Point, *resource.NodeCaps) (*Node, error), space *resource.Space, caps *resource.NodeCaps, redraw *rng.Stream) (*Node, error) {
+	for try := 0; ; try++ {
+		node, err := join(space.NodePoint(caps), caps)
+		if !errors.Is(err, ErrDuplicatePoint) || try >= 8 {
+			return node, err
+		}
+		caps.Virtual = redraw.Float64() * 0.999999
+	}
+}
 
 // Join inserts a node at the given coordinate and returns it. The zone
 // containing the point is split between its current owner and the new

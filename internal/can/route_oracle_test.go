@@ -205,12 +205,8 @@ func TestRouteMatchesReference(t *testing.T) {
 	ngen := workload.NewNodeGen(space, 1)
 	s := rng.New(5)
 	for i := 0; i < 400; i++ {
-		caps := ngen.One()
-		for try := 0; try < 8; try++ {
-			if _, err := o.Join(space.NodePoint(caps), caps); err == nil {
-				break
-			}
-			caps.Virtual = s.Float64() * 0.999999
+		if _, err := can.JoinRedraw(o.Join, space, ngen.One(), s); err != nil {
+			t.Fatal(err)
 		}
 	}
 	jgen := workload.NewJobGen(space, 1)

@@ -16,7 +16,8 @@ import (
 // vs silent departure mix, and the extension to concurrent-kernel GPUs
 // the paper anticipates. Each produces one table.
 
-// ablationLB runs one can-het configuration and returns its result.
+// ablationLB runs one scaled configuration, can-het unless tweak picks
+// another scheme, and returns its result.
 func ablationLB(scale Scale, seed int64, tweak func(*LBConfig)) (*LBResult, error) {
 	cfg := DefaultLBConfig(CanHet)
 	cfg.Nodes = scale.nodes(cfg.Nodes)
@@ -183,6 +184,36 @@ func AblationFailureFraction(w io.Writer, scale Scale, seed int64) error {
 			row = append(row, fmt.Sprintf("%.1f", RunResilience(cfg).MeanBroken()))
 		}
 		tab.AddRow(row...)
+	}
+	tab.Fprint(w)
+	return nil
+}
+
+// AblationChurnLB runs the two planes the paper evaluates separately
+// together: it sweeps the node-failure rate under a flowing job stream.
+// The cost of churn shows up as restarts (requeued work) and longer
+// waits, and can-het's advantage over can-hom persists.
+func AblationChurnLB(w io.Writer, scale Scale, seed int64) error {
+	fmt.Fprintln(w, "Extension: load balancing under node churn (mean wait seconds)")
+	tab := stats.NewTable("mean-fail-gap", "scheme", "mean(s)", "p99(s)", "requeued", "lost", "fails")
+	for _, gap := range []sim.Duration{0, 600 * sim.Second, 120 * sim.Second} {
+		for _, scheme := range []SchemeName{CanHet, CanHom} {
+			r, err := ablationLB(scale, seed, func(cfg *LBConfig) {
+				cfg.Scheme = scheme
+				cfg.MeanFailGap = gap
+			})
+			if err != nil {
+				return err
+			}
+			label := "none"
+			if gap > 0 {
+				label = fmt.Sprintf("%.0fs", gap.Seconds())
+			}
+			tab.AddRow(label, string(scheme),
+				fmt.Sprintf("%.0f", r.WaitTimes.Mean()),
+				fmt.Sprintf("%.0f", r.WaitTimes.Quantile(0.99)),
+				r.Requeued, r.Lost, r.Fails)
+		}
 	}
 	tab.Fprint(w)
 	return nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -58,6 +59,16 @@ func TestRunLoadBalanceRejectsBadConfig(t *testing.T) {
 		{"negative gpu slots", func(c *LBConfig) { c.GPUSlots = -1 }},
 		{"negative jobs", func(c *LBConfig) { c.Jobs = -3 }},
 		{"negative nodes", func(c *LBConfig) { c.Nodes = -1 }},
+		{"constraint above one", func(c *LBConfig) { c.ConstraintRatio = 2 }},
+		{"negative constraint", func(c *LBConfig) { c.ConstraintRatio = -0.1 }},
+		{"NaN constraint", func(c *LBConfig) { c.ConstraintRatio = math.NaN() }},
+		{"negative gpu fraction", func(c *LBConfig) { c.GPUJobFraction = -1 }},
+		{"gpu fraction above one", func(c *LBConfig) { c.GPUJobFraction = 2 }},
+		{"NaN gpu fraction", func(c *LBConfig) { c.GPUJobFraction = math.NaN() }},
+		{"negative stopping factor", func(c *LBConfig) { c.StoppingFactor = -1 }},
+		{"negative gamma", func(c *LBConfig) { c.Gamma = -1 }},
+		{"NaN gamma", func(c *LBConfig) { c.Gamma = math.NaN() }},
+		{"negative fail gap", func(c *LBConfig) { c.MeanFailGap = -sim.Second }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,7 +82,10 @@ func TestRunLoadBalanceRejectsBadConfig(t *testing.T) {
 			if res, err := RunLoadBalance(cfg); err == nil {
 				t.Fatalf("accepted: placed=%d failed=%d", res.Placed, res.Failed)
 			}
-			if _, err := RunChurnLB(ChurnLBConfig{LB: cfg}); err == nil {
+			if cfg.MeanFailGap == 0 {
+				cfg.MeanFailGap = 200 * sim.Second
+			}
+			if _, err := RunLoadBalance(cfg); err == nil {
 				t.Fatal("churn run accepted")
 			}
 		})
@@ -283,31 +297,15 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
-func TestRunChurnLBNoChurnMatchesPlain(t *testing.T) {
-	lb := smallLB(CanHet, 7)
-	plain, err := RunLoadBalance(lb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churned, err := RunChurnLB(ChurnLBConfig{LB: lb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if churned.WaitTimes.Mean() != plain.WaitTimes.Mean() {
-		t.Fatalf("zero-churn run diverges from plain run: %v vs %v",
-			churned.WaitTimes.Mean(), plain.WaitTimes.Mean())
-	}
-	if churned.Fails != 0 || churned.Requeued != 0 {
-		t.Fatal("churn counters nonzero without churn")
-	}
-}
-
-func TestRunChurnLBWithFailures(t *testing.T) {
+// TestRunLoadBalanceWithFailures checks a churn run's accounting and
+// that it fills the same result fields as a static run.
+func TestRunLoadBalanceWithFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn run")
 	}
 	lb := smallLB(CanHet, 8)
-	res, err := RunChurnLB(ChurnLBConfig{LB: lb, MeanFailGap: 200 * sim.Second})
+	lb.MeanFailGap = 200 * sim.Second
+	res, err := RunLoadBalance(lb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +319,12 @@ func TestRunChurnLBWithFailures(t *testing.T) {
 	}
 	if res.Joins == 0 {
 		t.Fatal("replacement joins missing")
+	}
+	if res.Sched.RouteHops == 0 || res.Events.Fired == 0 {
+		t.Fatalf("churn run left Sched.RouteHops=%d Events.Fired=%d", res.Sched.RouteHops, res.Events.Fired)
+	}
+	if res.Imbalance.MaxOverMean < 1 {
+		t.Fatalf("churn run left Imbalance unfilled: %+v", res.Imbalance)
 	}
 }
 

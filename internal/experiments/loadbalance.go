@@ -55,6 +55,13 @@ type LBConfig struct {
 	// simultaneous jobs — the paper's anticipated future GPUs — instead
 	// of dedicated ones (extension experiment).
 	ConcurrentGPUs bool
+	// MeanFailGap is the mean time between node failures (exponential)
+	// for the churn extension: a failed node's jobs are re-matched
+	// (running work restarts from scratch, as a desktop grid restarts
+	// preempted work) and a fresh node joins in its place, keeping the
+	// population stationary. Zero, the paper's static population,
+	// disables failures.
+	MeanFailGap sim.Duration
 	// Cancel, when non-nil, is polled at every event boundary of the
 	// simulation loop; once it returns true the run stops and reports an
 	// error wrapping ErrCanceled. ReplicateLB wires this to the sweep's
@@ -98,8 +105,13 @@ type LBResult struct {
 	// Imbalance summarizes how evenly completed work (busy
 	// core-seconds) spread across nodes.
 	Imbalance Imbalance
-	// Events is the run's own event-queue accounting (RunLoadBalance).
+	// Events is the run's own event-queue accounting.
 	Events sim.Stats
+	// Churn effects; all zero when MeanFailGap is zero.
+	Fails    int
+	Joins    int
+	Requeued int // jobs displaced by a failure and re-matched
+	Lost     int // displaced jobs no remaining node could satisfy
 }
 
 // Imbalance captures load-distribution quality across nodes.
@@ -113,22 +125,28 @@ type Imbalance struct {
 // bad CLI flag becomes an error rather than a panic deep in the stack
 // or a silently wrong run (a negative job count never reaches zero).
 func (c *LBConfig) validate() error {
+	if err := workload.CheckParams(c.Jobs, c.GPUSlots, c.MeanInterArrival, c.ConstraintRatio, c.GPUJobFraction); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	if err := sched.CheckName(string(c.Scheme)); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
 	switch {
 	case c.Nodes < 0:
 		return fmt.Errorf("experiments: node count %d is negative", c.Nodes)
-	case c.Jobs < 0:
-		return fmt.Errorf("experiments: job count %d is negative", c.Jobs)
-	case c.MeanInterArrival <= 0:
-		return fmt.Errorf("experiments: mean inter-arrival %gs must be positive", c.MeanInterArrival.Seconds())
-	case c.GPUSlots < 0:
-		return fmt.Errorf("experiments: GPU slot count %d is negative", c.GPUSlots)
+	case !(c.StoppingFactor >= 0):
+		return fmt.Errorf("experiments: stopping factor %g must be non-negative", c.StoppingFactor)
+	case !(c.Gamma >= 0):
+		return fmt.Errorf("experiments: contention coefficient %g must be non-negative", c.Gamma)
+	case c.MeanFailGap < 0:
+		return fmt.Errorf("experiments: mean failure gap %gs is negative", c.MeanFailGap.Seconds())
 	}
 	return nil
 }
 
 // RunLoadBalance executes one configuration to completion: it builds
 // the grid, streams the job arrivals through the chosen matchmaker, and
-// runs until every placed job has finished.
+// runs until every placed job has finished or, under churn, been lost.
 func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -142,21 +160,19 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 	ngen := workload.NewNodeGen(space, rng.Split(cfg.Seed, "nodes"))
 	ngen.ConcurrentGPUs = cfg.ConcurrentGPUs
 	redraw := rng.NewSplit(cfg.Seed, "virtual-redraw")
-	for i := 0; i < cfg.Nodes; i++ {
+	join := func() error {
 		caps := ngen.One()
-		var node *can.Node
-		var err error
-		for try := 0; ; try++ {
-			node, err = ov.Join(space.NodePoint(caps), caps)
-			if err == nil {
-				break
-			}
-			if try >= 8 {
-				return nil, fmt.Errorf("experiments: join node %d: %w", i, err)
-			}
-			caps.Virtual = redraw.Float64() * 0.999999
+		node, err := can.JoinRedraw(ov.Join, space, caps, redraw)
+		if err != nil {
+			return err
 		}
 		cluster.AddNode(node.ID, caps)
+		return nil
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		if err := join(); err != nil {
+			return nil, fmt.Errorf("experiments: join node %d: %w", i, err)
+		}
 	}
 
 	// Scheduler.
@@ -164,16 +180,9 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 	ctx.StoppingFactor = cfg.StoppingFactor
 	ctx.RefreshPeriod = cfg.RefreshPeriod
 	ctx.DisableVirtualSpread = cfg.DisableVirtualSpread
-	var scheduler sched.Scheduler
-	switch cfg.Scheme {
-	case CanHet:
-		scheduler = sched.NewCanHet(ctx)
-	case CanHom:
-		scheduler = sched.NewCanHom(ctx)
-	case Central:
-		scheduler = sched.NewCentral(ctx)
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheme %q", cfg.Scheme)
+	scheduler, err := sched.New(string(cfg.Scheme), ctx)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	if cfg.Trace != nil {
 		ctx.Probe = spans.New(eng, cfg.Trace)
@@ -195,7 +204,12 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 	jgen.GPUJobFraction = cfg.GPUJobFraction
 
 	res := &LBResult{Config: cfg, WaitTimes: &stats.Sample{}}
+	place := func(j *exec.Job) bool {
+		node, err := scheduler.Place(j)
+		return err == nil && cluster.Submit(j, node) == nil
+	}
 	remaining := cfg.Jobs
+	inFlight := 0 // placed, neither finished nor lost
 	var arrive func(now sim.Time)
 	arrive = func(now sim.Time) {
 		if remaining == 0 {
@@ -207,13 +221,11 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 		if cfg.Trace != nil {
 			cfg.Trace.Record(trace.Event{T: now.Seconds(), Kind: trace.JobSubmit, Node: -1, Job: int64(j.ID)})
 		}
-		node, err := scheduler.Place(j)
-		if err != nil {
-			res.Failed++
-		} else if err := cluster.Submit(j, node); err != nil {
-			res.Failed++
-		} else {
+		if place(j) {
 			res.Placed++
+			inFlight++
+		} else {
+			res.Failed++
 		}
 		if remaining > 0 {
 			eng.After(gap, arrive)
@@ -232,6 +244,7 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 	cluster.OnFinish = func(j *exec.Job) {
 		res.WaitTimes.Add(j.WaitTime().Seconds())
 		lastFinish = eng.Now()
+		inFlight--
 		if cfg.Trace != nil {
 			cfg.Trace.Record(trace.Event{
 				T: eng.Now().Seconds(), Kind: trace.JobFinish,
@@ -241,6 +254,40 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 		}
 	}
 	eng.At(0, arrive)
+	if cfg.MeanFailGap > 0 {
+		// Failure process: fail a random node, re-match its jobs and admit
+		// a replacement. It stops once every job has finished or been
+		// lost, so the engine drains.
+		churn := rng.NewSplit(cfg.Seed, "churnlb")
+		nextFailure := func() sim.Duration { return sim.FromSeconds(churn.Exp(cfg.MeanFailGap.Seconds())) }
+		var fail func(now sim.Time)
+		fail = func(sim.Time) {
+			if remaining == 0 && inFlight == 0 {
+				return
+			}
+			if nodes := ov.Nodes(); len(nodes) > 2 {
+				victim := nodes[churn.Intn(len(nodes))]
+				// Overlay departure first: a rejected Leave must not strand
+				// the victim's jobs outside the cluster's books.
+				if _, err := ov.Leave(victim.ID); err == nil {
+					res.Fails++
+					for _, j := range cluster.RemoveNode(victim.ID) {
+						if place(j) {
+							res.Requeued++
+						} else {
+							res.Lost++
+							inFlight--
+						}
+					}
+					if join() == nil {
+						res.Joins++
+					}
+				}
+			}
+			eng.After(nextFailure(), fail)
+		}
+		eng.After(nextFailure(), fail)
+	}
 	if cfg.Cancel == nil {
 		eng.Run()
 	} else {
@@ -278,8 +325,9 @@ func RunLoadBalance(cfg LBConfig) (*LBResult, error) {
 		res.Sched = *st
 	}
 	res.Events = eng.Stats()
-	if res.WaitTimes.N() != res.Placed {
-		return nil, fmt.Errorf("experiments: %d jobs placed but %d finished", res.Placed, res.WaitTimes.N())
+	if res.WaitTimes.N()+res.Lost != res.Placed {
+		return nil, fmt.Errorf("experiments: %d jobs placed but %d finished and %d lost",
+			res.Placed, res.WaitTimes.N(), res.Lost)
 	}
 	return res, nil
 }

@@ -215,20 +215,23 @@ func TestCancelFlagOnlyHaltsHigherIndices(t *testing.T) {
 // simulation loop itself: a run whose Cancel predicate trips partway
 // through stops with ErrCanceled instead of simulating its horizon.
 func TestRunLoadBalanceCancel(t *testing.T) {
-	polls := 0
-	cfg := DefaultLBConfig(CanHet)
-	cfg.Nodes = 40
-	cfg.Jobs = 500
-	cfg.Cancel = func() bool { polls++; return polls > 100 }
-	res, err := RunLoadBalance(cfg)
-	if res != nil || err == nil {
-		t.Fatalf("canceled run returned res=%v err=%v", res, err)
-	}
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if polls != 101 {
-		t.Fatalf("run continued past the cancellation poll (%d polls)", polls)
+	for _, gap := range []sim.Duration{0, 200 * sim.Second} {
+		polls := 0
+		cfg := DefaultLBConfig(CanHet)
+		cfg.Nodes = 40
+		cfg.Jobs = 500
+		cfg.MeanFailGap = gap
+		cfg.Cancel = func() bool { polls++; return polls > 100 }
+		res, err := RunLoadBalance(cfg)
+		if res != nil || err == nil {
+			t.Fatalf("gap %v: canceled run returned res=%v err=%v", gap, res, err)
+		}
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("gap %v: err = %v, want ErrCanceled", gap, err)
+		}
+		if polls != 101 {
+			t.Fatalf("gap %v: run continued past the cancellation poll (%d polls)", gap, polls)
+		}
 	}
 }
 

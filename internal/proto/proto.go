@@ -39,18 +39,24 @@ const (
 	Adaptive
 )
 
+var schemeNames = [...]string{Vanilla: "vanilla", Compact: "compact", Adaptive: "adaptive"}
+
 // String returns the scheme name used in the paper's figures.
 func (s Scheme) String() string {
-	switch s {
-	case Vanilla:
-		return "vanilla"
-	case Compact:
-		return "compact"
-	case Adaptive:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("scheme(%d)", int(s))
+	if s >= 0 && int(s) < len(schemeNames) {
+		return schemeNames[s]
 	}
+	return fmt.Sprintf("scheme(%d)", int(s))
+}
+
+// ParseScheme returns the scheme whose String is name.
+func ParseScheme(name string) (Scheme, error) {
+	for s, n := range schemeNames {
+		if n == name {
+			return Scheme(s), nil
+		}
+	}
+	return 0, fmt.Errorf("proto: unknown protocol %q (vanilla, compact or adaptive)", name)
 }
 
 // Config holds protocol parameters.

@@ -19,6 +19,10 @@ type Space struct {
 	Norms    Norms // per-resource normalization maxima
 }
 
+// MaxGPUSlots bounds the accelerator slots a run may ask for: a
+// 29-dimensional CAN, twice the paper's largest.
+const MaxGPUSlots = 8
+
 // NewSpace returns a Space with the given accelerator slots and the
 // default norms.
 func NewSpace(gpuSlots int) *Space {

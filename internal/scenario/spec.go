@@ -13,7 +13,10 @@ import (
 	"strconv"
 	"time"
 
+	"hetgrid/internal/proto"
+	"hetgrid/internal/sched"
 	"hetgrid/internal/sim"
+	"hetgrid/internal/workload"
 )
 
 // Spec is a fully decoded scenario.
@@ -33,6 +36,10 @@ type Spec struct {
 
 // Sharded reports whether the spec selects the sharded parallel core.
 func (s *Spec) Sharded() bool { return s.Engine == "sharded" }
+
+// maxShards bounds a spec's shard count: the sharded engine's mailbox
+// grid grows as S².
+const maxShards = 256
 
 // ShardCount resolves the effective shard count S.
 func (s *Spec) ShardCount() int {
@@ -159,18 +166,16 @@ func Load(src string) (*Spec, error) {
 	}
 	spec.Grid.Refresh = d.dur(g, "refresh", spec.Grid.Heartbeat)
 
-	if wv, ok := top["workload"]; ok {
-		w := d.mapping(wv, "workload")
-		spec.Workload = WorkloadSpec{
-			Jobs:            d.count(w, "jobs", 0),
-			MeanGap:         d.dur(w, "mean_gap", 3*sim.Second),
-			GPUFraction:     d.float(w, "gpu_fraction", 0.4),
-			ConstraintRatio: d.float(w, "constraint_ratio", 0.8),
-			MinRun:          d.dur(w, "min_run", 2*sim.Minute),
-			MaxRun:          d.dur(w, "max_run", 10*sim.Minute),
-		}
-		d.rejectUnknown(w, "workload", "jobs", "mean_gap", "gpu_fraction", "constraint_ratio", "min_run", "max_run")
+	w := d.mapping(top["workload"], "workload")
+	spec.Workload = WorkloadSpec{
+		Jobs:            d.count(w, "jobs", 0),
+		MeanGap:         d.dur(w, "mean_gap", 3*sim.Second),
+		GPUFraction:     d.float(w, "gpu_fraction", 0.4),
+		ConstraintRatio: d.float(w, "constraint_ratio", 0.8),
+		MinRun:          d.dur(w, "min_run", 2*sim.Minute),
+		MaxRun:          d.dur(w, "max_run", 10*sim.Minute),
 	}
+	d.rejectUnknown(w, "workload", "jobs", "mean_gap", "gpu_fraction", "constraint_ratio", "min_run", "max_run")
 
 	if evs, ok := top["events"]; ok {
 		seq, isSeq := evs.([]any)
@@ -243,21 +248,30 @@ func (s *Spec) validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("scenario %s: shards must be non-negative", s.Name)
 	}
+	if s.Shards > maxShards {
+		return fmt.Errorf("scenario %s: shards must be at most %d", s.Name, maxShards)
+	}
 	if s.Workers < 0 {
 		return fmt.Errorf("scenario %s: workers must be non-negative", s.Name)
 	}
 	if (s.Shards > 0 || s.Workers > 0) && !s.Sharded() {
 		return fmt.Errorf("scenario %s: shards/workers require `engine: sharded`", s.Name)
 	}
-	switch s.Grid.Protocol {
-	case "vanilla", "compact", "adaptive":
-	default:
-		return fmt.Errorf("scenario %s: unknown protocol %q", s.Name, s.Grid.Protocol)
+	if _, err := proto.ParseScheme(s.Grid.Protocol); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	switch s.Grid.Scheduler {
-	case "can-het", "can-hom", "central":
-	default:
-		return fmt.Errorf("scenario %s: unknown scheduler %q", s.Name, s.Grid.Scheduler)
+	if err := sched.CheckName(s.Grid.Scheduler); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	if s.Grid.Heartbeat <= 0 {
+		return fmt.Errorf("scenario %s: grid.heartbeat must be positive", s.Name)
+	}
+	wl := s.Workload
+	if err := workload.CheckParams(wl.Jobs, s.Grid.GPUSlots, wl.MeanGap, wl.ConstraintRatio, wl.GPUFraction); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	if wl.MinRun < 0 || wl.MaxRun < wl.MinRun {
+		return fmt.Errorf("scenario %s: workload needs 0 <= min_run <= max_run", s.Name)
 	}
 	for i, ev := range s.Events {
 		if !eventKinds[ev.Kind] {

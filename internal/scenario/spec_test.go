@@ -85,6 +85,15 @@ func TestLoadErrors(t *testing.T) {
 		{"shards without sharded", "name: x\nduration: 1m\nshards: 4\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"workers without sharded", "name: x\nduration: 1m\nengine: serial\nworkers: 2\ngrid:\n  nodes: 4\n", "require `engine: sharded`"},
 		{"negative shards", "name: x\nduration: 1m\nengine: sharded\nshards: -1\ngrid:\n  nodes: 4\n", "shards must be non-negative"},
+		{"negative gpu slots", "name: x\nduration: 1m\ngrid:\n  nodes: 4\n  gpu_slots: -1\n", "GPU slot count -1 is negative"},
+		{"too many gpu slots", "name: x\nduration: 1m\ngrid:\n  nodes: 4\n  gpu_slots: 9\n", "GPU slot count 9 above 8"},
+		{"zero heartbeat", "name: x\nduration: 1m\ngrid:\n  nodes: 4\n  heartbeat: 0s\n", "grid.heartbeat must be positive"},
+		{"too many shards", "name: x\nduration: 1m\nengine: sharded\nshards: 257\ngrid:\n  nodes: 4\n", "shards must be at most 256"},
+		{"zero mean gap", valid + "workload:\n  jobs: 5\n  mean_gap: 0s\n", "mean inter-arrival 0s must be positive"},
+		{"negative jobs", valid + "workload:\n  jobs: -5\n", "job count -5 is negative"},
+		{"gpu fraction above one", valid + "workload:\n  jobs: 5\n  gpu_fraction: 2\n", "GPU-job fraction 2 outside [0,1]"},
+		{"constraint NaN", valid + "workload:\n  jobs: 5\n  constraint_ratio: NaN\n", "outside [0,1]"},
+		{"min_run above max_run", valid + "workload:\n  jobs: 5\n  min_run: 5m\n  max_run: 1m\n", "min_run <= max_run"},
 		// window: and admission: are not spec keys: every value, on
 		// either engine, is rejected as an unknown field.
 		{"unknown window", "name: x\nduration: 1m\nengine: sharded\nwindow: elastic\ngrid:\n  nodes: 4\n", `unknown field "window"`},

@@ -93,7 +93,11 @@ func NewWorld(spec *Spec) (*World, error) { return newWorld(spec, 0) }
 func newWorld(spec *Spec, sampleEvery sim.Duration) (*World, error) {
 	space := resource.NewSpace(spec.Grid.GPUSlots)
 
-	pcfg := proto.DefaultConfig(protoScheme(spec.Grid.Protocol))
+	scheme, err := proto.ParseScheme(spec.Grid.Protocol)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+	}
+	pcfg := proto.DefaultConfig(scheme)
 	pcfg.HeartbeatPeriod = spec.Grid.Heartbeat
 	pcfg.Seed = spec.Seed
 
@@ -141,15 +145,8 @@ func newWorld(spec *Spec, sampleEvery sim.Duration) (*World, error) {
 
 	ctx := sched.NewContext(eng, w.psim.Overlay(), w.cluster, space, spec.Seed)
 	ctx.RefreshPeriod = spec.Grid.Refresh
-	switch spec.Grid.Scheduler {
-	case "can-het":
-		w.sched = sched.NewCanHet(ctx)
-	case "can-hom":
-		w.sched = sched.NewCanHom(ctx)
-	case "central":
-		w.sched = sched.NewCentral(ctx)
-	default:
-		return nil, fmt.Errorf("scenario %s: unknown scheduler %q", spec.Name, spec.Grid.Scheduler)
+	if w.sched, err = sched.New(spec.Grid.Scheduler, ctx); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 
 	w.cluster.OnFinish = func(j *exec.Job) {
@@ -198,17 +195,12 @@ func newWorld(spec *Spec, sampleEvery sim.Duration) (*World, error) {
 
 // admit joins one node to both planes and assigns its rack.
 func (w *World) admit(caps *resource.NodeCaps) (*can.Node, error) {
-	for try := 0; ; try++ {
-		node, err := w.psim.JoinNode(w.space.NodePoint(caps), caps)
-		if err == nil {
-			w.track(node.ID, caps)
-			return node, nil
-		}
-		if err != can.ErrDuplicatePoint || try >= 8 {
-			return nil, err
-		}
-		caps.Virtual = w.redraw.Float64() * 0.999999
+	node, err := can.JoinRedraw(w.psim.JoinNode, w.space, caps, w.redraw)
+	if err != nil {
+		return nil, err
 	}
+	w.track(node.ID, caps)
+	return node, nil
 }
 
 // track registers an admitted node with the execution plane and the
@@ -322,17 +314,6 @@ func (w *World) rackMembers(rack int) []can.NodeID {
 		}
 	}
 	return out
-}
-
-func protoScheme(name string) proto.Scheme {
-	switch name {
-	case "vanilla":
-		return proto.Vanilla
-	case "adaptive":
-		return proto.Adaptive
-	default:
-		return proto.Compact
-	}
 }
 
 // Run executes the timeline to the horizon, evaluates the assertions

@@ -175,10 +175,9 @@ func nodeIDs(ns []*can.Node) []can.NodeID {
 // redrawing the virtual coordinate on a point collision.
 func joinNode(ctx *Context, gen *workload.NodeGen, redraw *rng.Stream) can.NodeID {
 	caps := gen.One()
-	node, err := ctx.Ov.Join(ctx.Space.NodePoint(caps), caps)
-	for err != nil {
-		caps.Virtual = redraw.Float64() * 0.999999
-		node, err = ctx.Ov.Join(ctx.Space.NodePoint(caps), caps)
+	node, err := can.JoinRedraw(ctx.Ov.Join, ctx.Space, caps, redraw)
+	if err != nil {
+		panic(err)
 	}
 	ctx.Cluster.AddNode(node.ID, caps)
 	return node.ID

@@ -19,6 +19,29 @@ type Scheduler interface {
 	Place(j *exec.Job) (can.NodeID, error)
 }
 
+// builders maps each matchmaker name to its constructor.
+var builders = map[string]func(*Context) Scheduler{
+	"can-het": func(c *Context) Scheduler { return NewCanHet(c) },
+	"can-hom": func(c *Context) Scheduler { return NewCanHom(c) },
+	"central": func(c *Context) Scheduler { return NewCentral(c) },
+}
+
+// CheckName returns an error unless New builds a matchmaker called name.
+func CheckName(name string) error {
+	if builders[name] == nil {
+		return fmt.Errorf("sched: unknown scheduler %q (can-het, can-hom or central)", name)
+	}
+	return nil
+}
+
+// New builds the matchmaker called name on ctx.
+func New(name string, ctx *Context) (Scheduler, error) {
+	if err := CheckName(name); err != nil {
+		return nil, err
+	}
+	return builders[name](ctx), nil
+}
+
 // ErrUnmatchable is returned when no reachable node satisfies a job's
 // requirements.
 var ErrUnmatchable = errors.New("sched: no node satisfies the job")

@@ -23,10 +23,9 @@ func testGrid(t *testing.T, n int, gpuSlots int, seed int64) (*Context, *can.Ove
 	redraw := rng.NewSplit(seed, "redraw")
 	for i := 0; i < n; i++ {
 		caps := gen.One()
-		node, err := ov.Join(space.NodePoint(caps), caps)
-		for err != nil {
-			caps.Virtual = redraw.Float64() * 0.999999
-			node, err = ov.Join(space.NodePoint(caps), caps)
+		node, err := can.JoinRedraw(ov.Join, space, caps, redraw)
+		if err != nil {
+			t.Fatal(err)
 		}
 		cl.AddNode(node.ID, caps)
 	}

@@ -25,16 +25,14 @@ const (
 )
 
 func (s HeartbeatScheme) internal() (proto.Scheme, error) {
-	switch s {
-	case HeartbeatVanilla, "":
-		return proto.Vanilla, nil
-	case HeartbeatCompact:
-		return proto.Compact, nil
-	case HeartbeatAdaptive:
-		return proto.Adaptive, nil
-	default:
-		return 0, fmt.Errorf("hetgrid: unknown heartbeat scheme %q", s)
+	if s == "" {
+		s = HeartbeatVanilla
 	}
+	scheme, err := proto.ParseScheme(string(s))
+	if err != nil {
+		return 0, fmt.Errorf("hetgrid: %w", err)
+	}
+	return scheme, nil
 }
 
 // MaintenanceOptions configures a maintenance simulation.
